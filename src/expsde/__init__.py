@@ -37,9 +37,10 @@ from .montecarlo import (
     estimate_many,
     exp_moment_estimate,
     moment_sweep,
+    simulate_paths,
     weak_error_sweep,
 )
-from .paths import GaussianStream, ZeroStream, make_stream
+from .paths import GaussianStream, make_stream
 from .reference import (
     DivergentIntegralError,
     QuadratureNotConverged,
@@ -53,20 +54,7 @@ from .reference import (
     fine_grid_reference,
     gamma_function,
 )
-from .schemes import (
-    DIVERGENCE_CAP,
-    SchemeKind,
-    SchemeState,
-    StepInput,
-    simulate_terminal,
-    step_exp_es,
-    step_explicit_exp_euler,
-    step_ses,
-    step_sms,
-    step_stes,
-    step_tes,
-    step_values,
-)
+from .schemes import DIVERGENCE_CAP, SchemeKind, alive, step, step_values
 
 __version__ = "0.1.0"
 
@@ -75,12 +63,10 @@ __all__ = [
     "CASES", "main",
     "PrototypeModel", "GeneralDriftModel", "HypothesisReport",
     "check_hypotheses", "drift_eval", "kappa",
-    "GaussianStream", "ZeroStream", "make_stream",
-    "SchemeKind", "SchemeState", "StepInput", "DIVERGENCE_CAP",
-    "step_exp_es", "step_explicit_exp_euler", "step_ses", "step_sms",
-    "step_tes", "step_stes", "step_values", "simulate_terminal",
+    "GaussianStream", "make_stream",
+    "SchemeKind", "DIVERGENCE_CAP", "alive", "step", "step_values",
     "Estimate", "WeakErrorTable", "AllDivergedError", "TEST_FUNCTIONS",
-    "estimate_expectation", "estimate_many", "weak_error_sweep",
+    "estimate_expectation", "estimate_many", "simulate_paths", "weak_error_sweep",
     "moment_sweep", "exp_moment_estimate",
     "ReferenceMethod", "ReferenceValue", "DivergentIntegralError",
     "QuadratureNotConverged", "UnreliableReferenceError",

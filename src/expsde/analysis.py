@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .montecarlo import weak_error_sweep
-from .reference import ReferenceValue, fine_grid_reference
+from .montecarlo import AllDivergedError, weak_error_sweep
+from .reference import ReferenceValue, UnreliableReferenceError, fine_grid_reference
 from .schemes import SchemeKind
 
 __all__ = [
@@ -31,6 +31,9 @@ __all__ = [
 
 DEFAULT_FIT_P_MIN = 2
 DEFAULT_FIT_P_MAX = 7  # beyond this the Monte Carlo error tends to dominate
+
+# the failures a table cell records; anything else is a bug and propagates
+_CELL_ERRORS = (UnreliableReferenceError, AllDivergedError, ValueError)
 
 
 class InsufficientDataError(ValueError):
@@ -136,9 +139,10 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
 
     cases is a mapping name -> model (or an iterable of such pairs).  The
     fine-grid MC reference is resolved once per (case, test function) and
-    shared across schemes.  Any failure (unreliable reference, all paths
-    diverged, too few usable rows) is recorded on the affected cells and
-    never aborts the rest of the table.
+    shared across schemes.  A domain failure (unreliable reference, all
+    paths diverged, a ValueError from the model or the inputs, too few
+    usable rows) is recorded on the affected cells and never aborts the
+    rest of the table; any other exception propagates.
 
     The fit range defaults to [2, 7] clipped to p_list.
     """
@@ -165,7 +169,7 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
                                           seed=seed, workers=workers,
                                           cache_dir=cache_dir, use_cache=use_cache)
                 ref_error = None
-            except Exception as exc:
+            except _CELL_ERRORS as exc:
                 ref = None
                 ref_error = f"reference failed: {exc}"
             for kind in kinds:
@@ -176,7 +180,7 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
                     table = weak_error_sweep(model, kind, f, list(p_list), n,
                                              ref, seed, workers=workers,
                                              milstein_half=milstein_half)
-                except Exception as exc:
+                except _CELL_ERRORS as exc:
                     cells.append(CaseCell(name, kind, f, ref, None, None, str(exc)))
                     continue
                 fit = None

@@ -21,8 +21,6 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from .analysis import (
     build_case_table,
     render_compare_csv,
@@ -30,7 +28,7 @@ from .analysis import (
     write_summary_csv,
 )
 from .models import PrototypeModel, check_hypotheses
-from .montecarlo import TEST_FUNCTIONS
+from .montecarlo import TEST_FUNCTIONS, simulate_paths
 from .paths import make_stream
 from .reference import (
     DEFAULT_N0,
@@ -41,7 +39,7 @@ from .reference import (
     analytic_second_moment,
     fine_grid_reference,
 )
-from .schemes import DIVERGENCE_CAP, SchemeKind, step_values
+from .schemes import SchemeKind
 
 __all__ = ["CASES", "RunConfig", "ConfigError", "main"]
 
@@ -352,23 +350,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
     if len(schemes) != 1:
         raise ConfigError("simulate takes exactly one scheme")
     kind = SchemeKind.from_id(schemes[0])
-    n_steps = 1 << cfg.p
-    dt = model.horizon / n_steps
-    sqdt = math.sqrt(dt)
-    stream = make_stream(cfg.seed, cfg.trajectory, cfg.p)
-    z = stream.standard_normals(n_steps)
-    lines = ["t,value", f"{0.0!r},{model.x0!r}"]
-    x = np.full(1, model.x0, dtype=np.float64)
+    dt = model.horizon / (1 << cfg.p)
+    lines = ["t,value"]
     diverged_at = None
-    for k in range(n_steps):
-        out = step_values(kind, model, x, dt, np.full(1, z[k] * sqdt),
-                          milstein_half=cfg.milstein_half)
-        value = float(out[0])
-        if (not math.isfinite(value)) or abs(value) > DIVERGENCE_CAP:
-            diverged_at = (k + 1) * dt
+    stream = make_stream(cfg.seed, cfg.trajectory, cfg.p)
+    paths = simulate_paths(model, kind, cfg.p, [stream],
+                           milstein_half=cfg.milstein_half)
+    for k, (x, div) in enumerate(paths):
+        if div[0]:
+            diverged_at = k * dt
             break
-        lines.append(f"{(k + 1) * dt!r},{value!r}")
-        x = out
+        lines.append(f"{k * dt!r},{float(x[0])!r}")
     _emit(cfg, "\n".join(lines) + "\n")
     if diverged_at is not None:
         print(f"warning: {name}/{kind.value} path diverged at t={diverged_at:g}",

@@ -76,6 +76,14 @@ class PrototypeModel:
             if getattr(self, name) < 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
 
+    @property
+    def b_at_zero(self) -> float:
+        return self.b0
+
+    def drift(self, x):
+        """b(x) = b0 + b1*x - b2*x^(2*alpha-1) on an ndarray of states."""
+        return self.b0 + self.b1 * x - self.b2 * np.power(x, 2.0 * self.alpha - 1.0)
+
 
 @dataclass(frozen=True)
 class GrowthMetadata:
@@ -112,12 +120,18 @@ class GrowthMetadata:
 class GeneralDriftModel:
     """SDE model with a user-supplied drift callable.
 
+    The engine evaluates ``drift`` on whole ndarrays of states, so it must
+    accept an ndarray and return one of the same shape (write it with numpy
+    operations, for example ``lambda x: -2.0 * np.power(x, 2.0)``).  To run
+    with more than one worker process it must also be picklable, that is a
+    module-level function rather than a lambda.
+
     The drift is soft-checked against the declared growth bound on a log
     grid at construction (a warning, not an error: the bound is a
     hypothesis about all of [0, inf), which a finite sample cannot prove).
     """
 
-    drift: Callable[[float], float]
+    drift: Callable[[np.ndarray], np.ndarray]
     b_at_zero: float
     sigma: float
     alpha: float
@@ -179,16 +193,17 @@ class HypothesisReport:
     notes: tuple = ()
 
 
-def drift_eval(model: PrototypeModel, x):
-    """Drift b(x) = b0 + b1*x - b2*x^(2*alpha-1), vectorized over x.
+def drift_eval(model, x):
+    """The model's drift b(x), vectorized over x (a float in, a float out).
 
-    Powers use IEEE semantics: 0 maps to 0, an integer-valued exponent of a
-    negative base stays real, and a fractional power of a negative base is
-    NaN (downstream code treats that as divergence).
+    For the prototype, powers use IEEE semantics: 0 maps to 0, an
+    integer-valued exponent of a negative base stays real, and a fractional
+    power of a negative base is NaN (downstream code treats that as
+    divergence).
     """
     xv = np.asarray(x, dtype=np.float64)
     with np.errstate(invalid="ignore", over="ignore"):
-        out = model.b0 + model.b1 * xv - model.b2 * np.power(xv, 2.0 * model.alpha - 1.0)
+        out = model.drift(xv)
     if out.ndim == 0:
         return float(out)
     return out

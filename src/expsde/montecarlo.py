@@ -25,7 +25,7 @@ import numpy as np
 
 from .models import check_hypotheses
 from .paths import make_stream
-from .schemes import DIVERGENCE_CAP, SchemeKind, step_values
+from .schemes import SchemeKind, alive, step_values
 
 __all__ = [
     "Estimate",
@@ -39,6 +39,7 @@ __all__ = [
     "weak_error_sweep",
     "moment_sweep",
     "exp_moment_estimate",
+    "simulate_paths",
 ]
 
 CHUNK_TRAJECTORIES = 4096
@@ -121,47 +122,58 @@ def resolve_test_function(f):
 
 # ------------------------------------------------------------------ engine
 
+def simulate_paths(model, kind, p, streams, milstein_half: bool = False):
+    """Step one path per stream over the uniform 2^p grid of the horizon.
+
+    Yields (states, diverged) at every grid time, the start included: 2^p + 1
+    pairs of arrays with one element per stream.  A path that diverges keeps
+    its last good state and is flagged from then on.  Draws 2^p standard
+    normals from each stream in segments of SEGMENT_STEPS, and stops early
+    (without drawing the rest) once every path has diverged.
+    """
+    if p < 0:
+        raise ValueError(f"refinement level must be nonnegative, got {p}")
+    n_steps = 1 << p
+    dt = model.horizon / n_steps
+    sqdt = math.sqrt(dt)
+    count = len(streams)
+    x = np.full(count, model.x0, dtype=np.float64)
+    div = np.zeros(count, dtype=bool)
+    yield x, div
+    block = np.empty((count, min(SEGMENT_STEPS, n_steps)), dtype=np.float64)
+    for k0 in range(0, n_steps, SEGMENT_STEPS):
+        width = min(SEGMENT_STEPS, n_steps - k0)
+        for i, s in enumerate(streams):
+            block[i, :width] = s.standard_normals(width)
+        for j in range(width):
+            if div.all():
+                return
+            cand = step_values(kind, model, x, dt, block[:, j] * sqdt,
+                               milstein_half=milstein_half)
+            div = div | ~alive(cand)
+            x = np.where(div, x, cand)
+            yield x, div
+
+
 def _chunk_payload(model, kind, p, seed, start, count, with_integral, milstein_half):
     """Simulate trajectories [start, start+count) at level p.
 
     Returns (terminal values, diverged mask, path integral of X^(2a-2) by
     left Riemann sum or None).  Pure function of its arguments.
     """
-    n_steps = 1 << p
-    dt = model.horizon / n_steps
-    sqdt = math.sqrt(dt)
-    streams = [make_stream(seed, start + i, p) for i in range(count)]
-    x = np.full(count, model.x0, dtype=np.float64)
-    div = np.zeros(count, dtype=bool)
-    integral = np.zeros(count, dtype=np.float64) if with_integral else None
+    dt = model.horizon / (1 << p)
     power = 2.0 * model.alpha - 2.0
-    k0 = 0
-    block = np.empty((count, min(SEGMENT_STEPS, n_steps)), dtype=np.float64)
-    while k0 < n_steps:
-        width = min(SEGMENT_STEPS, n_steps - k0)
-        for i, s in enumerate(streams):
-            block[i, :width] = s.standard_normals(width)
-        for j in range(width):
-            if div.all():
-                # streams must still be exhausted below to keep counters
-                # aligned, but no state can change any more
-                break
-            if with_integral:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    contrib = np.power(x, power) * dt
-                integral = np.where(div, integral, integral + contrib)
-            cand = step_values(kind, model, x, dt, block[:, j] * sqdt,
-                               milstein_half=milstein_half)
-            with np.errstate(invalid="ignore"):
-                good = np.isfinite(cand) & (np.abs(cand) <= DIVERGENCE_CAP)
-            newly_bad = ~div & ~good
-            x = np.where(div, x, cand)
-            div = div | newly_bad
-        k0 += width
-        if div.all() and k0 < n_steps:
-            for s in streams:
-                s.standard_normals(n_steps - k0)
-            break
+    integral = np.zeros(count, dtype=np.float64) if with_integral else None
+    streams = [make_stream(seed, start + i, p) for i in range(count)]
+    prev = None
+    for x, div in simulate_paths(model, kind, p, streams, milstein_half):
+        if with_integral and prev is not None:
+            # left endpoint: the state before each step, unless frozen
+            px, pdiv = prev
+            with np.errstate(over="ignore", invalid="ignore"):
+                contrib = np.power(px, power) * dt
+            integral = np.where(pdiv, integral, integral + contrib)
+        prev = x, div
     return x, div, integral
 
 

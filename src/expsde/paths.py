@@ -4,7 +4,9 @@ Each stream is an independent counter-based Philox generator, keyed through
 numpy's SeedSequence with the trajectory index and refinement level as the
 spawn key.  The k-th draw of a stream is a pure function of
 (seed, trajectory, level, k): simulation order and worker layout cannot
-change any value.  Draws are standard normals; callers scale by sqrt(dt).
+change any value.  Draws are standard normals; the path stepper
+(montecarlo.simulate_paths) scales them by sqrt(dt).  Anything with a
+standard_normals(n) method can stand in for a stream there.
 
 The generator family (Philox via numpy) is fixed per release; changing it
 changes every simulated number.
@@ -12,11 +14,9 @@ changes every simulated number.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-__all__ = ["GaussianStream", "ZeroStream", "make_stream", "next_increment"]
+__all__ = ["GaussianStream", "make_stream"]
 
 
 class GaussianStream:
@@ -48,29 +48,7 @@ class GaussianStream:
                 f"level={self.level}, counter={self.counter})")
 
 
-class ZeroStream:
-    """Test double: every draw is 0, so Brownian increments vanish and a
-    simulation reduces to the deterministic part of the scheme."""
-
-    __slots__ = ("counter",)
-
-    def __init__(self):
-        self.counter = 0
-
-    def standard_normals(self, n: int) -> np.ndarray:
-        self.counter += int(n)
-        return np.zeros(int(n))
-
-
 def make_stream(seed: int, trajectory: int, level: int) -> GaussianStream:
     """Construct the keyed stream for one trajectory at one refinement level."""
     return GaussianStream(seed, trajectory, level)
 
-
-def next_increment(stream, dt: float) -> float:
-    """One Brownian increment over a step of length dt: a fresh standard
-    normal from the stream scaled by sqrt(dt)."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    z = stream.standard_normals(1)[0]
-    return float(z * math.sqrt(dt))

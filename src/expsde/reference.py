@@ -317,24 +317,40 @@ def _cache_key(model: PrototypeModel, f_id: str, n0: int, p_ref: int, seed: int)
 
 def _cache_lookup(path: Path, key: str):
     try:
-        lines = path.read_text().splitlines()
+        text = path.read_text()
     except OSError:
         return None
     hit = None
-    for line in lines:
+    # the last piece has no newline unless the file is complete: a record
+    # cut short by an interrupted write is never served
+    for line in text.split("\n")[:-1]:
         parts = line.split()
-        if len(parts) == 3 and parts[0] == key:
-            hit = (float(parts[1]), float(parts[2]))
+        if len(parts) != 3 or parts[0] != key:
+            continue
+        try:
+            value, uncertainty = float(parts[1]), float(parts[2])
+        except ValueError:
+            continue
+        if uncertainty >= 0.0:
+            hit = (value, uncertainty)
     return hit
 
 
 def _cache_store(path: Path, key: str, value: float, uncertainty: float):
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "a") as fh:
-        fh.write(f"{key} {value!r} {uncertainty!r}\n")
+    record = f"{key} {value!r} {uncertainty!r}\n".encode()
+    with open(path, "ab+") as fh:
+        fh.seek(0)
+        data = fh.read()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            # drop a record cut short by an interrupted write; ended by a
+            # later newline it would parse as a record of its own
+            fh.truncate(complete)
+        fh.write(record)
 
 
-def fine_grid_reference(model: PrototypeModel, f, n0: int = DEFAULT_N0,
+def fine_grid_reference(model, f, n0: int = DEFAULT_N0,
                         p_ref: int = DEFAULT_P_REF, seed: int = 0,
                         workers: int = 1, cache_dir=None,
                         use_cache: bool = True) -> ReferenceValue:

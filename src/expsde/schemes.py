@@ -1,4 +1,4 @@
-"""One-step update rules and single-path simulation.
+"""One-step update rules: the array kernels and the scalar step.
 
 Six schemes for dX = b(X) dt + sigma X^alpha dW:
 
@@ -11,39 +11,29 @@ Six schemes for dX = b(X) dt + sigma X^alpha dW:
   STES              X + inc/(1 + inc^2) * 1{|X| < exp(sqrt|ln dt|)},
                     inc = b(X) dt + sigma X^a dW
 
+The kernels read only alpha, sigma, b_at_zero and the vectorized drift of
+the model (through drift_eval), so any model offering those runs.
+
 All power evaluations use IEEE semantics (np.power): fractional powers of a
 negative state are NaN and the trajectory counts as diverged.  A state is
-diverged when non-finite or |value| > DIVERGENCE_CAP.
+diverged when non-finite or |value| > DIVERGENCE_CAP; alive is that test.
 
-Scalar step functions and the array kernels below share the same numpy
-arithmetic, so a single trajectory stepped scalar-wise reproduces the
-corresponding row of a vectorized ensemble bit for bit.
+step_values updates an array of states; step updates one state by running
+the same kernel on a one-element array, so a single state stepped
+scalar-wise reproduces the corresponding element of a vectorized update bit
+for bit.  Whole paths are stepped by montecarlo.simulate_paths.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .models import drift_eval
 
-__all__ = [
-    "SchemeKind",
-    "SchemeState",
-    "StepInput",
-    "DIVERGENCE_CAP",
-    "step_exp_es",
-    "step_explicit_exp_euler",
-    "step_ses",
-    "step_sms",
-    "step_tes",
-    "step_stes",
-    "step_values",
-    "simulate_terminal",
-]
+__all__ = ["SchemeKind", "DIVERGENCE_CAP", "alive", "step", "step_values"]
 
 DIVERGENCE_CAP = 1e12
 
@@ -68,25 +58,6 @@ class SchemeKind(enum.Enum):
         )
 
 
-@dataclass(frozen=True)
-class SchemeState:
-    time: float
-    value: float
-    diverged: bool = False
-
-
-@dataclass(frozen=True)
-class StepInput:
-    dt: float
-    dw: float
-
-    def __post_init__(self):
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not math.isfinite(self.dw):
-            raise ValueError(f"dw must be finite, got {self.dw}")
-
-
 # ---------------------------------------------------------------- kernels
 
 def _exp_kernel(model, x, dt, dw, shift_b0):
@@ -97,11 +68,11 @@ def _exp_kernel(model, x, dt, dw, shift_b0):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         xa1 = np.power(x, model.alpha - 1.0)
         b = drift_eval(model, x)
-        num = b - model.b0 if shift_b0 else b
+        num = b - model.b_at_zero if shift_b0 else b
         expo = model.sigma * xa1 * dw + (num / x - 0.5 * model.sigma * model.sigma * xa1 * xa1) * dt
         out = x * np.exp(expo)
         if shift_b0:
-            out = model.b0 * dt + out
+            out = model.b_at_zero * dt + out
     return out
 
 
@@ -130,6 +101,13 @@ def _stes_kernel(model, x, dt, dw):
         return x + np.where(keep, inc / (1.0 + inc * inc), 0.0)
 
 
+def alive(values):
+    """True where a state has not diverged: finite and |value| <= DIVERGENCE_CAP
+    (elementwise for arrays)."""
+    with np.errstate(invalid="ignore"):
+        return np.isfinite(values) & (np.abs(values) <= DIVERGENCE_CAP)
+
+
 def step_values(kind: SchemeKind, model, x, dt, dw, milstein_half: bool = False):
     """Apply one update of the chosen scheme to an array of states."""
     if kind is SchemeKind.ExpES:
@@ -147,89 +125,32 @@ def step_values(kind: SchemeKind, model, x, dt, dw, milstein_half: bool = False)
     raise ValueError(f"unhandled scheme kind {kind!r}")
 
 
-# ------------------------------------------------------------ scalar steps
+# ------------------------------------------------------------- scalar step
 
-def _advance(state: SchemeState, dt: float, value: float) -> SchemeState:
-    v = float(value)
-    bad = (not math.isfinite(v)) or abs(v) > DIVERGENCE_CAP
-    return SchemeState(time=state.time + dt, value=v, diverged=bad)
+def step(kind: SchemeKind, model, x: float, dt: float, dw: float,
+         milstein_half: bool = False) -> float:
+    """One update of the chosen scheme from the single state x.
 
+    Runs the array kernel on one element, so the result equals the matching
+    element of step_values bit for bit.  Raises ValueError for dt <= 0, a
+    non-finite dw, a diverged x (see alive) and, for the two exponential
+    schemes, an x that is not positive.  The result may itself be diverged;
+    test it with alive.
 
-def _check_alive(state: SchemeState, positive: bool):
-    if state.diverged:
-        raise ValueError("cannot step a diverged state")
-    if positive and not state.value > 0.0:
-        raise ValueError(f"scheme requires a positive state, got {state.value}")
-
-
-def _scalar(kind, model, state, inp, positive, **kw):
-    _check_alive(state, positive)
-    x = np.full(1, state.value, dtype=np.float64)
-    dw = np.full(1, inp.dw, dtype=np.float64)
-    out = step_values(kind, model, x, inp.dt, dw, **kw)
-    return _advance(state, inp.dt, out[0])
-
-
-def step_exp_es(model, state: SchemeState, inp: StepInput) -> SchemeState:
-    """Positivity-preserving exponential step: output exceeds b(0)*dt for
-    any finite increment."""
-    return _scalar(SchemeKind.ExpES, model, state, inp, positive=True)
-
-
-def step_explicit_exp_euler(model, state: SchemeState, inp: StepInput) -> SchemeState:
-    return _scalar(SchemeKind.ExplicitExpEuler, model, state, inp, positive=True)
-
-
-def step_ses(model, state: SchemeState, inp: StepInput) -> SchemeState:
-    """Symmetrized Euler step: absolute value of the Euler update."""
-    return _scalar(SchemeKind.SES, model, state, inp, positive=False)
-
-
-def step_sms(model, state: SchemeState, inp: StepInput,
-             milstein_half: bool = False) -> SchemeState:
-    """Symmetrized Milstein step.
-
-    The default correction coefficient is alpha*sigma^2 (the form the
-    benchmark tables were produced with); milstein_half=True selects the
-    textbook alpha*sigma^2/2.
+    exp-es exceeds b(0)*dt for any finite increment.  sms uses the
+    correction coefficient alpha*sigma^2 (the form the benchmark tables were
+    produced with); milstein_half=True selects the textbook alpha*sigma^2/2.
+    tes divides the drift update by 1 + |b(X)| dt; stes tames the whole
+    increment by 1 + inc^2 and gates it by |X| < exp(sqrt|ln dt|).
     """
-    return _scalar(SchemeKind.SMS, model, state, inp, positive=False,
-                   milstein_half=milstein_half)
-
-
-def step_tes(model, state: SchemeState, inp: StepInput) -> SchemeState:
-    """Tamed Euler step: drift update divided by 1 + |b(X)| dt."""
-    return _scalar(SchemeKind.TES, model, state, inp, positive=False)
-
-
-def step_stes(model, state: SchemeState, inp: StepInput) -> SchemeState:
-    """Stopped tamed Euler step: whole increment tamed by 1 + inc^2 and
-    gated by the indicator |X| < exp(sqrt|ln dt|)."""
-    return _scalar(SchemeKind.STES, model, state, inp, positive=False)
-
-
-# ------------------------------------------------------------- full paths
-
-def simulate_terminal(model, kind: SchemeKind, p: int, stream,
-                      milstein_half: bool = False):
-    """Run one trajectory to the horizon on the uniform 2^p grid.
-
-    Consumes exactly 2^p standard normals from the stream (even if the
-    path diverges early).  Returns (terminal value, diverged flag); a
-    diverged path reports the first offending value.
-    """
-    if p < 0:
-        raise ValueError(f"refinement level must be nonnegative, got {p}")
-    n_steps = 1 << p
-    dt = model.horizon / n_steps
-    sqdt = math.sqrt(dt)
-    z = stream.standard_normals(n_steps)
-    x = np.full(1, model.x0, dtype=np.float64)
-    for k in range(n_steps):
-        dw = z[k] * sqdt
-        out = step_values(kind, model, x, dt, np.full(1, dw), milstein_half=milstein_half)
-        v = float(out[0])
-        if (not math.isfinite(v)) or abs(v) > DIVERGENCE_CAP:
-            return v, True
-        x = out
-    return float(x[0]), False
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if not math.isfinite(dw):
+        raise ValueError(f"dw must be finite, got {dw}")
+    if not alive(x):
+        raise ValueError(f"cannot step a diverged state, got {x}")
+    if kind in (SchemeKind.ExpES, SchemeKind.ExplicitExpEuler) and not x > 0.0:
+        raise ValueError(f"scheme requires a positive state, got {x}")
+    out = step_values(kind, model, np.full(1, x, dtype=np.float64), dt,
+                      np.full(1, dw, dtype=np.float64), milstein_half=milstein_half)
+    return float(out[0])

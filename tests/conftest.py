@@ -8,12 +8,16 @@ each per-function value is identical to what fine_grid_reference would
 return for the same seed (test_acceptance asserts this at small size).
 Only the acceptance module requests these fixtures, so unit-test runs
 never pay for them.
+
+Also here: ZeroStream, a stream fake whose draws are all zero, and
+path_terminal, the terminal of one path stepped by simulate_paths.
 """
 
+import numpy as np
 import pytest
 
 from expsde.cli import CASES
-from expsde.montecarlo import estimate_many, weak_error_sweep
+from expsde.montecarlo import estimate_many, simulate_paths, weak_error_sweep
 from expsde.reference import ReferenceMethod, ReferenceValue
 from expsde.schemes import SchemeKind
 
@@ -23,6 +27,27 @@ REFERENCE_P = 12
 SWEEP_N = 10**5
 SWEEP_P = list(range(2, 8))
 MASTER_SEED = 0
+
+
+class ZeroStream:
+    """Test double for a Gaussian stream: every draw is 0, so Brownian
+    increments vanish and a simulation reduces to the deterministic part of
+    the scheme."""
+
+    def __init__(self):
+        self.counter = 0
+
+    def standard_normals(self, n):
+        self.counter += int(n)
+        return np.zeros(int(n))
+
+
+def path_terminal(model, kind, p, stream, milstein_half=False):
+    """(terminal value, diverged flag) of the one path drawn from stream; a
+    diverged path reports its last good state."""
+    for x, div in simulate_paths(model, kind, p, [stream], milstein_half):
+        pass
+    return float(x[0]), bool(div[0])
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,6 @@ import pytest
 from expsde.analysis import fit_rate
 from expsde.cli import CASES, main
 from expsde.montecarlo import estimate_many, weak_error_sweep
-from expsde.paths import ZeroStream
 from expsde.reference import (
     DivergentIntegralError,
     adaptive_quadrature,
@@ -25,20 +24,8 @@ from expsde.reference import (
     fine_grid_reference,
     gamma_function,
 )
-from expsde.schemes import (
-    SchemeKind,
-    SchemeState,
-    StepInput,
-    simulate_terminal,
-    step_exp_es,
-    step_explicit_exp_euler,
-    step_ses,
-    step_sms,
-    step_stes,
-    step_tes,
-    step_values,
-)
-from conftest import ACCEPTANCE_FS, MASTER_SEED
+from expsde.schemes import SchemeKind, step, step_values
+from conftest import ACCEPTANCE_FS, MASTER_SEED, ZeroStream, path_terminal
 
 CASE1 = CASES["case1"]
 CASE2 = CASES["case2"]
@@ -51,10 +38,6 @@ TARGET_ERRORS = {
     5: 3.823e-3,
     6: 1.923e-3,
 }
-
-
-def fresh(x):
-    return SchemeState(time=0.0, value=x)
 
 
 def test_criterion_1_order_one_weak_convergence(case1_sweeps):
@@ -141,32 +124,28 @@ def test_criterion_5_step_formula_exactness():
     c1, c4 = CASES["case1"], CASES["case4"]
     exact = [
         ("exp-es unit step",
-         step_exp_es(c1, fresh(1.0), StepInput(dt=1.0, dw=0.0)).value,
-         math.exp(-2.005)),
+         step(SchemeKind.ExpES, c1, 1.0, 1.0, 0.0), math.exp(-2.005)),
         ("exp-es shifted half step",
-         step_exp_es(c4, fresh(1.0), StepInput(dt=0.5, dw=0.0)).value,
-         0.5 + math.exp(0.2975)),
+         step(SchemeKind.ExpES, c4, 1.0, 0.5, 0.0), 0.5 + math.exp(0.2975)),
         ("explicit exp quarter step",
-         step_explicit_exp_euler(c1, fresh(1.0),
-                                 StepInput(dt=0.25, dw=0.1)).value,
+         step(SchemeKind.ExplicitExpEuler, c1, 1.0, 0.25, 0.1),
          math.exp(-0.49125)),
         ("symmetrized euler",
-         step_ses(c1, fresh(1.0), StepInput(dt=0.25, dw=0.0)).value, 0.5),
+         step(SchemeKind.SES, c1, 1.0, 0.25, 0.0), 0.5),
         ("symmetrized milstein",
-         step_sms(c1, fresh(1.0), StepInput(dt=0.25, dw=0.0)).value, 0.49625),
+         step(SchemeKind.SMS, c1, 1.0, 0.25, 0.0), 0.49625),
         ("tamed euler",
-         step_tes(c1, fresh(1.0), StepInput(dt=0.5, dw=0.0)).value, 0.5),
+         step(SchemeKind.TES, c1, 1.0, 0.5, 0.0), 0.5),
         ("stopped tamed euler",
-         step_stes(c1, fresh(1.0), StepInput(dt=0.25, dw=0.0)).value, 0.6),
+         step(SchemeKind.STES, c1, 1.0, 0.25, 0.0), 0.6),
     ]
     for label, got, want in exact:
         assert got == pytest.approx(want, rel=1e-12), label
     # continuity boundary: a vanishing step moves x by only b(0)*dt
-    out = step_exp_es(c4, fresh(1.0), StepInput(dt=1e-15, dw=0.0))
-    assert abs(out.value - (1.0 + c4.b0 * 1e-15)) <= 1e-12
+    out = step(SchemeKind.ExpES, c4, 1.0, 1e-15, 0.0)
+    assert abs(out - (1.0 + c4.b0 * 1e-15)) <= 1e-12
     # deterministic terminal composition (same oracle as criterion 6)
-    terminal, diverged = simulate_terminal(c1, SchemeKind.ExpES, 10,
-                                           ZeroStream())
+    terminal, diverged = path_terminal(c1, SchemeKind.ExpES, 10, ZeroStream())
     assert not diverged
     assert abs(terminal - 1.0 / 3.0) <= 2.0 / 1024.0
     print(f"criterion 5: {len(exact)} exact step examples at 1e-12, "
@@ -175,8 +154,8 @@ def test_criterion_5_step_formula_exactness():
 
 def test_criterion_6_zero_noise_matches_ode():
     dt = 1.0 / 1024.0
-    terminal, diverged = simulate_terminal(CASE1, SchemeKind.ExpES, 10,
-                                           ZeroStream())
+    terminal, diverged = path_terminal(CASE1, SchemeKind.ExpES, 10,
+                                       ZeroStream())
     assert not diverged
     gap = abs(terminal - 1.0 / 3.0)
     assert gap <= 2.0 * dt

@@ -2,10 +2,12 @@
 
 import io
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from expsde import analysis
 from expsde.analysis import (
     CaseTableReport,
     InsufficientDataError,
@@ -15,7 +17,7 @@ from expsde.analysis import (
     write_detail_csv,
     write_summary_csv,
 )
-from expsde.models import PrototypeModel
+from expsde.models import GeneralDriftModel, PrototypeModel
 from expsde.montecarlo import Estimate, WeakErrorRow, WeakErrorTable, weak_error_sweep
 from expsde.reference import fine_grid_reference
 from expsde.schemes import SchemeKind
@@ -146,6 +148,26 @@ def test_reference_failure_recorded_not_raised():
     assert "reference failed" in bad.error
     good = report.cell("case1", "exp-es", "x")
     assert good.error is None
+
+
+def test_programming_errors_propagate(monkeypatch):
+    # only domain failures become table cells; a model missing part of the
+    # protocol, or a drift that only takes scalars, is a bug and raises
+    no_b_at_zero = SimpleNamespace(alpha=1.5, sigma=0.1, x0=1.0, horizon=1.0,
+                                   drift=CASE1.drift)
+    with pytest.raises(AttributeError, match="b_at_zero"):
+        small_report(cases={"broken": no_b_at_zero})
+    scalar_drift = GeneralDriftModel(drift=lambda x: -2.0 * math.pow(x, 2.0),
+                                     b_at_zero=0.0, sigma=0.1, alpha=1.5)
+    with pytest.raises(TypeError):
+        small_report(cases={"scalar": scalar_drift})
+
+    def buggy_sweep(*args, **kwargs):
+        raise TypeError("bug in the sweep")
+
+    monkeypatch.setattr(analysis, "weak_error_sweep", buggy_sweep)
+    with pytest.raises(TypeError, match="bug in the sweep"):
+        small_report()
 
 
 def test_divergent_rows_leave_fit_note():

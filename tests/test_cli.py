@@ -8,7 +8,8 @@ import pytest
 from expsde.cli import CASES, ConfigError, main, parse_config_text
 from expsde.models import PrototypeModel
 from expsde.paths import make_stream
-from expsde.schemes import SchemeKind, simulate_terminal
+from expsde.schemes import SchemeKind
+from conftest import path_terminal
 
 # keep every invocation here small: n and n0 in the hundreds, p <= 6
 FAST = ["--n", "200", "--n0", "400", "--p-ref", "5", "--seed", "3"]
@@ -158,7 +159,7 @@ def test_simulate_terminal_matches_engine(tmp_path, capsys):
                     "--trajectory", "4", "--output", str(out_file)], capsys)
     assert rc == 0
     last_value = float(out_file.read_text().splitlines()[-1].split(",")[1])
-    terminal, diverged = simulate_terminal(
+    terminal, diverged = path_terminal(
         CASES["case1"], SchemeKind.ExpES, 5, make_stream(9, 4, 5))
     assert not diverged
     assert last_value == terminal
@@ -171,6 +172,20 @@ def test_simulate_rerun_byte_identical(tmp_path, capsys):
     assert main(argv + ["--output", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
+
+def test_simulate_stops_at_first_diverged_step(tmp_path, capsys):
+    # case2 tamed Euler at p=2: this path goes negative at t=0.5, and the
+    # fractional power of that state diverges the step to t=0.75
+    out_file = tmp_path / "path.csv"
+    rc, _, err = run(["simulate", "--case", "case2", "--scheme", "tes", "--p", "2",
+                      "--seed", "0", "--trajectory", "9", "--output", str(out_file)],
+                     capsys)
+    assert rc == 1
+    assert "case2/tes path diverged at t=0.75" in err
+    lines = out_file.read_text().splitlines()
+    assert [row.split(",")[0] for row in lines] == ["t", "0.0", "0.25", "0.5"]
+    assert float(lines[-1].split(",")[1]) < 0.0
+
 
 def test_simulate_two_schemes_exits_2(capsys):
     rc, _, err = run(["simulate", "--case", "case1", "--scheme", "ses",

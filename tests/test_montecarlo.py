@@ -6,7 +6,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from expsde.models import PrototypeModel
+from expsde.cli import CASES
+from expsde.models import GeneralDriftModel, PrototypeModel
 from expsde.montecarlo import (
     AllDivergedError,
     TEST_FUNCTIONS,
@@ -15,10 +16,13 @@ from expsde.montecarlo import (
     exp_moment_estimate,
     moment_sweep,
     resolve_test_function,
+    simulate_paths,
     weak_error_sweep,
 )
 from expsde.paths import make_stream
-from expsde.schemes import SchemeKind, simulate_terminal
+from expsde.reference import fine_grid_reference
+from expsde.schemes import SchemeKind
+from conftest import path_terminal
 
 CASE1 = PrototypeModel(b2=2.0, sigma=0.1, alpha=1.5)
 CASE2 = PrototypeModel(b2=3.0, sigma=1.0, alpha=1.25)
@@ -37,7 +41,7 @@ def test_engine_matches_scalar_simulation():
     # ensemble rows are bit-identical to per-trajectory scalar runs
     n, p, seed = 40, 3, 99
     terminals = np.array([
-        simulate_terminal(CASE1, SchemeKind.ExpES, p, make_stream(seed, i, p))[0]
+        path_terminal(CASE1, SchemeKind.ExpES, p, make_stream(seed, i, p))[0]
         for i in range(n)
     ])
     est = estimate_expectation(CASE1, SchemeKind.ExpES, "x", p=p, n=n, seed=seed)
@@ -180,3 +184,35 @@ def test_inv_x_at_zero_counts_diverged():
     # every value is 1/0: all excluded
     assert est.n_effective == 0
     assert est.n_diverged == 64
+
+
+def _case1_drift(x):
+    return 0.0 + 0.0 * x - 2.0 * np.power(x, 2.0)
+
+
+CASE1_GENERAL = GeneralDriftModel(drift=_case1_drift, b_at_zero=0.0,
+                                  sigma=0.1, alpha=1.5)
+
+
+def test_general_drift_model_runs_like_prototype():
+    # case1's polynomial written as a general drift: the engine reads only
+    # the model protocol, so every bit matches the prototype
+    for kind in (SchemeKind.ExpES, SchemeKind.SES):
+        general = estimate_many(CASE1_GENERAL, kind, ["x", "x2"], p=4, n=5000, seed=3)
+        proto = estimate_many(CASES["case1"], kind, ["x", "x2"], p=4, n=5000, seed=3)
+        assert general == proto
+    ref = fine_grid_reference(CASE1_GENERAL, "x", n0=300, p_ref=6, seed=2,
+                              use_cache=False)
+    assert ref == fine_grid_reference(CASES["case1"], "x", n0=300, p_ref=6,
+                                      seed=2, use_cache=False)
+
+
+def test_simulate_paths_yields_every_grid_time():
+    streams = [make_stream(5, i, 3) for i in range(3)]
+    states = list(simulate_paths(CASE1, SchemeKind.ExpES, 3, streams))
+    assert len(states) == (1 << 3) + 1
+    assert all(x.shape == (3,) and div.shape == (3,) for x, div in states)
+    assert np.array_equal(states[0][0], np.full(3, CASE1.x0))
+    assert not any(div.any() for _, div in states)
+    with pytest.raises(ValueError):
+        next(simulate_paths(CASE1, SchemeKind.ExpES, -1, streams))

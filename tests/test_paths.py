@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from expsde.paths import GaussianStream, ZeroStream, make_stream, next_increment
+from expsde.cli import CASES
+from expsde.montecarlo import simulate_paths
+from expsde.paths import GaussianStream, make_stream
+from expsde.schemes import SchemeKind, step
+from conftest import ZeroStream
 
 
 def test_same_key_same_sequence():
@@ -48,15 +52,26 @@ def test_counter_fast_forward():
     assert np.array_equal(tail, resumed.standard_normals(8))
 
 
-def test_next_increment_scaling():
-    z = make_stream(42, 0, 0).standard_normals(1)[0]
-    inc = next_increment(make_stream(42, 0, 0), 0.25)
-    assert inc == z * math.sqrt(0.25)
+def test_increment_is_draw_times_sqrt_dt():
+    # the path stepper turns the k-th draw into the k-th Brownian increment
+    # z_k * sqrt(dt): at p = 2 (dt = 0.25) its first state is one step with
+    # that increment
+    z = make_stream(42, 0, 2).standard_normals(1)[0]
+    model = CASES["case1"]
+    states = simulate_paths(model, SchemeKind.SES, 2, [make_stream(42, 0, 2)])
+    next(states)
+    x, _ = next(states)
+    assert x[0] == step(SchemeKind.SES, model, model.x0, 0.25, z * math.sqrt(0.25))
 
 
 def test_next_increment_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        next_increment(make_stream(0, 0, 0), 0.0)
+    # a draw becomes an increment only over a positive step: the step that
+    # consumes it refuses dt <= 0 for every scheme
+    model = CASES["case1"]
+    z = make_stream(0, 0, 0).standard_normals(1)[0]
+    for kind in SchemeKind:
+        with pytest.raises(ValueError):
+            step(kind, model, model.x0, 0.0, z * math.sqrt(0.0))
 
 
 def test_mean_clt_bound():
@@ -87,5 +102,5 @@ def test_normality_ks():
 def test_zero_stream():
     z = ZeroStream()
     assert np.array_equal(z.standard_normals(5), np.zeros(5))
-    assert next_increment(z, 0.5) == 0.0
+    assert z.standard_normals(1)[0] * math.sqrt(0.5) == 0.0
     assert z.counter == 6

@@ -263,3 +263,62 @@ def test_cache_env_var_default(tmp_path, monkeypatch):
     assert (tmp_path / "references.txt").exists()
     monkeypatch.delenv("EXPSDE_CACHE_DIR")
     assert default_cache_dir() is None
+
+
+def test_cache_ignores_record_cut_short(tmp_path):
+    # an interrupted write leaves a record without its newline; a prefix of
+    # the uncertainty ("0.00") must not be served as the uncertainty
+    kw = dict(n0=64, p_ref=2, seed=9, cache_dir=tmp_path, use_cache=False)
+    fresh = fine_grid_reference(CASE1, "x", **kw)
+    kw["use_cache"] = True
+    fine_grid_reference(CASE1, "x", **kw)
+    path = tmp_path / "references.txt"
+    record = path.read_text()
+    key = record.split()[0]
+    path.write_text(f"{key} {fresh.value!r} 0.00")
+    served = fine_grid_reference(CASE1, "x", **kw)
+    assert served == fresh
+    assert served.uncertainty > 0.0
+    # the store drops the cut-short tail, and the new record is served next
+    assert path.read_text() == record
+    assert fine_grid_reference(CASE1, "x", **kw) == fresh
+
+
+def test_cache_cut_short_record_stays_unserved_after_another_store(tmp_path):
+    # a later record for another key must not complete the cut-short line
+    kw = dict(n0=64, p_ref=2, seed=9, cache_dir=tmp_path)
+    fresh = fine_grid_reference(CASE1, "x", use_cache=False, **kw)
+    path = tmp_path / "references.txt"
+    fine_grid_reference(CASE1, "x", **kw)
+    key = path.read_text().split()[0]
+    path.write_text(f"{key} {fresh.value!r} 0.00")
+    other = dict(kw, seed=10)
+    fine_grid_reference(CASE1, "x", **other)
+    assert path.read_text().count("\n") == 1
+    assert key not in path.read_text()
+    served = fine_grid_reference(CASE1, "x", **kw)
+    assert served == fresh
+    assert served.uncertainty > 0.0
+
+
+def test_cache_skips_unparsable_record(tmp_path):
+    kw = dict(n0=64, p_ref=2, seed=9, cache_dir=tmp_path)
+    first = fine_grid_reference(CASE1, "x", **kw)
+    path = tmp_path / "references.txt"
+    key = path.read_text().split()[0]
+    path.write_text(f"{key} 0.0022584x 0.01\n{key} 0.5 nan\n")
+    assert fine_grid_reference(CASE1, "x", **kw) == first
+    # a bad record is skipped, not fatal: a later good one is still served
+    path.write_text(f"{key} 123.5 0.25\n{key} 0.0022584x 0.01\n")
+    assert fine_grid_reference(CASE1, "x", **kw).value == 123.5
+
+
+def test_cache_store_drops_cut_short_tail(tmp_path):
+    path = tmp_path / "references.txt"
+    path.write_text("0123abc 0.25 0.01\n0123abd 0.3174")
+    first = fine_grid_reference(CASE1, "x", n0=64, p_ref=2, seed=9, cache_dir=tmp_path)
+    lines = path.read_text().split("\n")
+    # complete records are kept, the unterminated one is gone
+    assert lines[0] == "0123abc 0.25 0.01"
+    assert lines[1].split()[1:] == [repr(first.value), repr(first.uncertainty)]
+    assert lines[2:] == [""]

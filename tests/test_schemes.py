@@ -12,21 +12,10 @@ import numpy as np
 import pytest
 
 from expsde.models import PrototypeModel
-from expsde.schemes import (
-    DIVERGENCE_CAP,
-    SchemeKind,
-    SchemeState,
-    StepInput,
-    simulate_terminal,
-    step_exp_es,
-    step_explicit_exp_euler,
-    step_ses,
-    step_sms,
-    step_stes,
-    step_tes,
-    step_values,
-)
-from expsde.paths import ZeroStream, make_stream
+from expsde.montecarlo import simulate_paths
+from expsde.schemes import DIVERGENCE_CAP, SchemeKind, alive, step, step_values
+from expsde.paths import make_stream
+from conftest import ZeroStream, path_terminal
 
 CASE1 = PrototypeModel(b2=2.0, sigma=0.1, alpha=1.5)
 CASE2 = PrototypeModel(b2=3.0, sigma=1.0, alpha=1.25)
@@ -48,35 +37,39 @@ class FixedStream:
         return out
 
 
-def fresh(x):
-    return SchemeState(time=0.0, value=x)
+ES, EXP = SchemeKind.ExpES, SchemeKind.ExplicitExpEuler
+SES, SMS = SchemeKind.SES, SchemeKind.SMS
+TES, STES = SchemeKind.TES, SchemeKind.STES
 
 
 def test_exp_es_case1_unit_step():
     # exponent: (b(1) - 0)/1 * dt + 0 - sigma^2/2 * 1 = -2 - 0.005
-    out = step_exp_es(CASE1, fresh(1.0), StepInput(dt=1.0, dw=0.0))
-    assert out.value == pytest.approx(math.exp(-2.005), rel=1e-12)
-    assert not out.diverged
-    assert out.time == 1.0
+    out = step(ES, CASE1, 1.0, 1.0, 0.0)
+    assert out == pytest.approx(math.exp(-2.005), rel=1e-12)
+    assert alive(out)
+    # one step of dt = 1 spans the unit horizon: the p = 0 path is the start
+    # plus this one state
+    states = [x[0] for x, _ in simulate_paths(CASE1, ES, 0, [ZeroStream()])]
+    assert states == [1.0, out]
 
 
 def test_exp_es_case4_half_step():
     # b(1) = 1.6, ratio (1.6-1)/1 = 0.6, Ito term 0.005, exponent 0.595*0.5
-    out = step_exp_es(CASE4, fresh(1.0), StepInput(dt=0.5, dw=0.0))
-    assert out.value == pytest.approx(0.5 + math.exp(0.2975), rel=1e-12)
+    out = step(ES, CASE4, 1.0, 0.5, 0.0)
+    assert out == pytest.approx(0.5 + math.exp(0.2975), rel=1e-12)
 
 
 def test_exp_es_continuity_tiny_dt():
     for model, x in [(CASE1, 0.7), (CASE4, 1.0)]:
         dt = 1e-15
-        out = step_exp_es(model, fresh(x), StepInput(dt=dt, dw=0.0))
-        assert abs(out.value - (x + model.b0 * dt)) <= 1e-12 * x
+        out = step(ES, model, x, dt, 0.0)
+        assert abs(out - (x + model.b0 * dt)) <= 1e-12 * x
 
 
 def test_explicit_case1_quarter_step():
     # exponent: 0.1*0.1 + (-2 - 0.005)*0.25 = 0.01 - 0.50125
-    out = step_explicit_exp_euler(CASE1, fresh(1.0), StepInput(dt=0.25, dw=0.1))
-    assert out.value == pytest.approx(math.exp(-0.49125), rel=1e-12)
+    out = step(EXP, CASE1, 1.0, 0.25, 0.1)
+    assert out == pytest.approx(math.exp(-0.49125), rel=1e-12)
 
 
 def test_exp_schemes_coincide_when_b0_zero():
@@ -85,25 +78,25 @@ def test_exp_schemes_coincide_when_b0_zero():
         x = float(rng.uniform(0.05, 3.0))
         dt = float(rng.uniform(1e-4, 1.0))
         dw = float(rng.normal(0.0, math.sqrt(dt)))
-        a = step_exp_es(CASE1, fresh(x), StepInput(dt=dt, dw=dw))
-        b = step_explicit_exp_euler(CASE1, fresh(x), StepInput(dt=dt, dw=dw))
-        assert a.value == b.value  # bitwise
+        a = step(ES, CASE1, x, dt, dw)
+        b = step(EXP, CASE1, x, dt, dw)
+        assert a == b  # bitwise
 
 
 def test_ses_case1_quarter_step():
-    out = step_ses(CASE1, fresh(1.0), StepInput(dt=0.25, dw=0.0))
-    assert out.value == pytest.approx(0.5, rel=1e-12)
+    out = step(SES, CASE1, 1.0, 0.25, 0.0)
+    assert out == pytest.approx(0.5, rel=1e-12)
 
 
 def test_ses_reflects_negative_inner():
     # inner = 1 - 0.5 + 0.1*(-8) = -0.3
-    out = step_ses(CASE1, fresh(1.0), StepInput(dt=0.25, dw=-8.0))
-    assert out.value == pytest.approx(0.3, rel=1e-12)
+    out = step(SES, CASE1, 1.0, 0.25, -8.0)
+    assert out == pytest.approx(0.3, rel=1e-12)
 
 
 def test_ses_zero_inner_fixed_point():
-    out = step_ses(CASE1, fresh(1.0), StepInput(dt=0.25, dw=-5.0))
-    assert out.value == 0.0
+    out = step(SES, CASE1, 1.0, 0.25, -5.0)
+    assert out == 0.0
 
 
 def test_ses_sms_nonnegative_property():
@@ -112,38 +105,37 @@ def test_ses_sms_nonnegative_property():
         x = float(rng.uniform(-2.0, 4.0))
         dt = float(rng.uniform(1e-3, 1.0))
         dw = float(rng.normal(0.0, math.sqrt(dt)))
-        for step in (step_ses, step_sms):
-            out = step(CASE1, fresh(x), StepInput(dt=dt, dw=dw))
-            assert out.diverged or out.value >= 0.0
+        for kind in (SES, SMS):
+            out = step(kind, CASE1, x, dt, dw)
+            assert not alive(out) or out >= 0.0
 
 
 def test_sms_equals_ses_when_dw_squared_is_dt():
-    inp = StepInput(dt=0.25, dw=0.5)
-    a = step_sms(CASE1, fresh(1.0), inp)
-    b = step_ses(CASE1, fresh(1.0), inp)
-    assert a.value == b.value
+    a = step(SMS, CASE1, 1.0, 0.25, 0.5)
+    b = step(SES, CASE1, 1.0, 0.25, 0.5)
+    assert a == b
 
 
 def test_sms_verbatim_correction():
     # correction alpha*sigma^2*(0 - 0.25) = 1.5*0.01*(-0.25) = -0.00375
-    out = step_sms(CASE1, fresh(1.0), StepInput(dt=0.25, dw=0.0))
-    assert out.value == pytest.approx(0.49625, rel=1e-12)
+    out = step(SMS, CASE1, 1.0, 0.25, 0.0)
+    assert out == pytest.approx(0.49625, rel=1e-12)
 
 
 def test_sms_half_variant():
-    out = step_sms(CASE1, fresh(1.0), StepInput(dt=0.25, dw=0.0), milstein_half=True)
-    assert out.value == pytest.approx(0.498125, rel=1e-12)
+    out = step(SMS, CASE1, 1.0, 0.25, 0.0, milstein_half=True)
+    assert out == pytest.approx(0.498125, rel=1e-12)
 
 
 def test_tes_zero_is_fixed_point():
-    out = step_tes(CASE1, fresh(0.0), StepInput(dt=0.5, dw=1.3))
-    assert out.value == 0.0
+    out = step(TES, CASE1, 0.0, 0.5, 1.3)
+    assert out == 0.0
 
 
 def test_tes_case1_half_step():
     # 1 + (-2*0.5)/(1 + 2*0.5) = 1 - 0.5
-    out = step_tes(CASE1, fresh(1.0), StepInput(dt=0.5, dw=0.0))
-    assert out.value == pytest.approx(0.5, rel=1e-12)
+    out = step(TES, CASE1, 1.0, 0.5, 0.0)
+    assert out == pytest.approx(0.5, rel=1e-12)
 
 
 def test_tes_tamed_drift_bounded():
@@ -158,14 +150,14 @@ def test_tes_tamed_drift_bounded():
 
 def test_stes_case1_quarter_step():
     # inc = -0.5, threshold exp(sqrt(ln 4)) > 1, update -0.5/1.25
-    out = step_stes(CASE1, fresh(1.0), StepInput(dt=0.25, dw=0.0))
-    assert out.value == pytest.approx(0.6, rel=1e-12)
+    out = step(STES, CASE1, 1.0, 0.25, 0.0)
+    assert out == pytest.approx(0.6, rel=1e-12)
 
 
 def test_stes_indicator_freezes_large_state():
     # threshold at dt=0.25 is exp(sqrt(ln 4)) ~ 3.2465
-    out = step_stes(CASE1, fresh(4.0), StepInput(dt=0.25, dw=1.7))
-    assert out.value == 4.0
+    out = step(STES, CASE1, 4.0, 0.25, 1.7)
+    assert out == 4.0
 
 
 def test_stes_displacement_bounded_by_half():
@@ -174,9 +166,9 @@ def test_stes_displacement_bounded_by_half():
         x = float(rng.uniform(-3.0, 3.0))
         dt = float(rng.uniform(1e-4, 0.99))
         dw = float(rng.normal(0.0, math.sqrt(dt)))
-        out = step_stes(CASE2, fresh(x), StepInput(dt=dt, dw=dw))
-        if not out.diverged and math.isfinite(out.value):
-            assert abs(out.value - x) <= 0.5 + 1e-15
+        out = step(STES, CASE2, x, dt, dw)
+        if alive(out):
+            assert abs(out - x) <= 0.5 + 1e-15
 
 
 def test_exp_es_positivity_quick():
@@ -186,29 +178,35 @@ def test_exp_es_positivity_quick():
             x = float(rng.uniform(1e-3, 3.0))
             dt = float(rng.uniform(1e-4, 1.0))
             dw = float(rng.normal(0.0, math.sqrt(dt)))
-            out = step_exp_es(model, fresh(x), StepInput(dt=dt, dw=dw))
-            if not out.diverged:
-                assert out.value > model.b0 * dt
+            out = step(ES, model, x, dt, dw)
+            if alive(out):
+                assert out > model.b0 * dt
 
 
 def test_step_rejects_diverged_state():
-    bad = SchemeState(time=0.0, value=math.nan, diverged=True)
-    with pytest.raises(ValueError):
-        step_exp_es(CASE1, bad, StepInput(dt=0.1, dw=0.0))
+    for kind in SchemeKind:
+        for bad in (math.nan, math.inf, -2.0 * DIVERGENCE_CAP):
+            with pytest.raises(ValueError, match="diverged"):
+                step(kind, CASE1, bad, 0.1, 0.0)
 
 
 def test_exp_step_rejects_nonpositive_state():
     with pytest.raises(ValueError):
-        step_exp_es(CASE1, fresh(0.0), StepInput(dt=0.1, dw=0.0))
+        step(ES, CASE1, 0.0, 0.1, 0.0)
     with pytest.raises(ValueError):
-        step_explicit_exp_euler(CASE1, fresh(-1.0), StepInput(dt=0.1, dw=0.0))
+        step(EXP, CASE1, -1.0, 0.1, 0.0)
+    # the other schemes accept a negative state: |-1 + b(-1)*0.1| = 0.96
+    assert step(SES, CASE4, -1.0, 0.1, 0.0) == pytest.approx(0.96, rel=1e-12)
 
 
 def test_step_input_validation():
-    with pytest.raises(ValueError):
-        StepInput(dt=0.0, dw=0.0)
-    with pytest.raises(ValueError):
-        StepInput(dt=0.1, dw=math.inf)
+    for kind in SchemeKind:
+        for dt in (0.0, -0.25, math.nan):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                step(kind, CASE1, 1.0, dt, 0.0)
+        for dw in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="dw must be finite"):
+                step(kind, CASE1, 1.0, 0.1, dw)
 
 
 def test_scheme_kind_ids():
@@ -223,38 +221,45 @@ def test_simulate_single_step_composition():
     # p=0: one step over the whole horizon reproduces the scalar step
     stream = make_stream(11, 0, 0)
     z = make_stream(11, 0, 0).standard_normals(1)[0]
-    term, div = simulate_terminal(CASE1, SchemeKind.ExpES, 0, stream)
-    ref = step_exp_es(CASE1, fresh(CASE1.x0), StepInput(dt=1.0, dw=z * 1.0))
-    assert term == ref.value
-    assert div == ref.diverged
+    term, div = path_terminal(CASE1, ES, 0, stream)
+    ref = step(ES, CASE1, CASE1.x0, 1.0, z * 1.0)
+    assert term == ref
+    assert div == (not alive(ref))
 
 
 def test_simulate_terminal_positive():
-    term, div = simulate_terminal(CASE1, SchemeKind.ExpES, 2, make_stream(1, 0, 2))
+    term, div = path_terminal(CASE1, ES, 2, make_stream(1, 0, 2))
     assert not div
     assert term > 0.0
 
 
 def test_simulate_consumes_exactly_n_draws():
     stream = make_stream(13, 2, 3)
-    simulate_terminal(CASE1, SchemeKind.ExpES, 3, stream)
+    path_terminal(CASE1, ES, 3, stream)
     assert stream.counter == 8
 
 
 def test_simulate_divergence_freezes():
     # Case 2 TES: first step driven hard negative, second step evaluates a
-    # fractional power of the negative state and produces NaN
+    # fractional power of the negative state and produces NaN; the path
+    # keeps its last good (negative) state and is flagged from then on
     stream = FixedStream([-3.0, 0.5])
-    term, div = simulate_terminal(CASE2, SchemeKind.TES, 1, stream)
+    states = list(simulate_paths(CASE2, TES, 1, [stream]))
+    first = step(TES, CASE2, 1.0, 0.5, -3.0 * math.sqrt(0.5))
+    assert first < 0.0
+    assert math.isnan(step_values(TES, CASE2, np.array([first]), 0.5,
+                                  np.array([0.5 * math.sqrt(0.5)]))[0])
+    assert [bool(d[0]) for _, d in states] == [False, False, True]
+    term, div = path_terminal(CASE2, TES, 1, FixedStream([-3.0, 0.5]))
     assert div
-    assert math.isnan(term)
+    assert term == first
     assert stream.counter == 2
 
 
 def test_zero_noise_terminal_near_ode():
     # with dW = 0 the exponential scheme integrates x' = -(2 + sigma^2/2) x^2,
     # a perturbation of x' = -2 x^2 whose exact solution is 1/(1+2t)
-    term, div = simulate_terminal(CASE1, SchemeKind.ExpES, 8, ZeroStream())
+    term, div = path_terminal(CASE1, ES, 8, ZeroStream())
     assert not div
     assert abs(term - 1.0 / 3.0) < 2.0 * 2.0 ** -8
 
@@ -272,8 +277,7 @@ def test_step_values_vector_matches_scalar():
 
 def test_divergence_cap_flags_huge_values():
     # finite but beyond the cap: drift kicks 1e11 to ~5e16 in one step
-    big = SchemeState(time=0.0, value=1e11)
-    out = step_ses(CASE2, big, StepInput(dt=0.5, dw=0.0))
-    assert out.diverged
-    assert math.isfinite(out.value)
-    assert abs(out.value) > DIVERGENCE_CAP
+    out = step(SES, CASE2, 1e11, 0.5, 0.0)
+    assert not alive(out)
+    assert math.isfinite(out)
+    assert abs(out) > DIVERGENCE_CAP
