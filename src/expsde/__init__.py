@@ -9,6 +9,8 @@ fine-grid reference expectations (reference), convergence-rate fits and
 CSV reporting (analysis), and the command-line front end (cli).
 """
 
+import importlib
+
 from .analysis import (
     CaseTableReport,
     InsufficientDataError,
@@ -19,7 +21,6 @@ from .analysis import (
     write_detail_csv,
     write_summary_csv,
 )
-from .cli import CASES, main
 from .models import (
     GeneralDriftModel,
     HypothesisReport,
@@ -57,6 +58,18 @@ from .reference import (
 from .schemes import DIVERGENCE_CAP, SchemeKind, alive, step, step_values
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the CLI is imported on first use, not with the package: `python -m
+    # expsde.cli` (and every spawned worker of such a run) imports the
+    # package before it runs the module, and warns if the module is
+    # already in sys.modules by then
+    if name in ("cli", "CASES", "main"):
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

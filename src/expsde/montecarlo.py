@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import check_hypotheses
+from .models import GeneralDriftModel, InsufficientMetadataError, check_hypotheses
 from .paths import make_stream
 from .schemes import SchemeKind, alive, step_values
 
@@ -335,16 +335,26 @@ def moment_sweep(model, kind, orders, p, n, seed, workers: int = 1):
 
 
 def _exp_moment_bound(model):
+    """Largest mu with a provably finite exponential moment.  B2 is the
+    prototype's b2 or a general drift's declared growth.B2."""
+    if isinstance(model, GeneralDriftModel):
+        if model.growth is None:
+            raise InsufficientMetadataError(["growth.B2"])
+        b2 = model.growth.B2
+    else:
+        b2 = model.b2
     s2 = model.sigma * model.sigma
-    if model.b0 == 0.0:
-        return (s2 + 2.0 * model.b2) ** 2 / (8.0 * s2)
-    return model.b2 * s2
+    if model.b_at_zero == 0.0:
+        return (s2 + 2.0 * b2) ** 2 / (8.0 * s2)
+    return b2 * s2
 
 
 def exp_moment_estimate(model, kind, mu, p, n, seed, workers: int = 1) -> Estimate:
     """Empirical E[exp(mu * I_T)] with I_T the left-endpoint Riemann sum of
     X^(2 alpha - 2) on the simulation grid.  Overflowing trajectories count
-    as diverged."""
+    as diverged.  A GeneralDriftModel needs its growth metadata (B2 sets the
+    bound checked against mu); without it InsufficientMetadataError is
+    raised."""
     bound = _exp_moment_bound(model)
     if mu > bound:
         warnings.warn(
@@ -352,7 +362,7 @@ def exp_moment_estimate(model, kind, mu, p, n, seed, workers: int = 1) -> Estima
             "for this model; the estimate may be infinite in the limit",
             stacklevel=2,
         )
-    if model.b0 > 0.0 and model.alpha <= 1.5:
+    if model.b_at_zero > 0.0 and model.alpha <= 1.5:
         warnings.warn(
             "exponential-moment bound is only established for alpha > 3/2 "
             "when b(0) > 0",

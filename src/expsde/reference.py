@@ -50,6 +50,11 @@ DEFAULT_QUAD_TOL = 1e-10
 CACHE_ENV_VAR = "EXPSDE_CACHE_DIR"
 CACHE_FILENAME = "references.txt"
 MAX_REF_DIVERGED_FRACTION = 1e-3
+# Version of every simulated number (stream keys and draws, scheme kernels,
+# engine).  It is part of the cache key, so a change that moves any
+# simulated value bumps it and no reference the old numerics produced is
+# served.
+NUMERICS_VERSION = 1
 
 
 class ReferenceMethod(enum.Enum):
@@ -311,7 +316,7 @@ def _cache_key(model: PrototypeModel, f_id: str, n0: int, p_ref: int, seed: int)
     fields = (model.b0, model.b1, model.b2, model.sigma, model.alpha,
               model.x0, model.horizon)
     blob = "|".join(repr(v) for v in fields)
-    blob += f"|{f_id}|fine-grid-mc|{n0}|{p_ref}|{seed}"
+    blob += f"|{f_id}|fine-grid-mc|{n0}|{p_ref}|{seed}|numerics-{NUMERICS_VERSION}"
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

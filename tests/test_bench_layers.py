@@ -4,8 +4,9 @@ bench/layers.py wraps module attributes of the package by name, so a
 refactor that renames or stops calling one of them would silently blind
 `bench/run.py --trace 1`.  This installs the tracer, drives one tiny compare
 through cli.main, and checks that every patched attribute existed, that each
-wrapped layer was reached through its module global, and that restore puts
-the originals back.
+wrapped layer was reached through its module global, that restore puts
+the originals back, and that the paths counters mean what bench/README.md
+says: one make_stream call per trajectory simulated, 2^p draws per path.
 """
 
 import importlib.util
@@ -27,7 +28,19 @@ def attribute(owner, attr):
     return owner.__dict__[attr] if isinstance(owner, type) else getattr(owner, attr)
 
 
-def test_install_patches_existing_names_and_restores(tmp_path, capsys):
+def test_install_patches_existing_names_and_restores(tmp_path, capsys, monkeypatch):
+    # record (n, p) of every ensemble beneath the tracer's own wrappers, so
+    # the stream and draw counters can be checked against what was asked for
+    requested = []
+
+    def recording(owner):
+        def estimate_many(model, kind, fs, p, n, *args, _orig=owner.estimate_many, **kw):
+            requested.append((n, p))
+            return _orig(model, kind, fs, p, n, *args, **kw)
+        return estimate_many
+
+    for owner in (expsde.montecarlo, expsde.reference):
+        monkeypatch.setattr(owner, "estimate_many", recording(owner))
     layers = load_layers()
     tracer = layers.Tracer()
     layers.install(tracer, expsde)
@@ -52,5 +65,9 @@ def test_install_patches_existing_names_and_restores(tmp_path, capsys):
                  "paths.standard_normals", "schemes.step_values.exp-es",
                  "schemes.step_values.ses", "models.drift_eval"):
         assert tracer.calls(name) > 0, name
-    assert tracer.counts["draws"] > 0
-    assert tracer.counts["traj_steps"] > 0
+    # one stream per trajectory simulated, and a path at level p draws 2^p
+    # normals (no path of this compare diverges, so none stops early)
+    assert requested
+    assert tracer.calls("paths.make_stream") == sum(n for n, _ in requested)
+    assert tracer.counts["draws"] == sum(n << p for n, p in requested)
+    assert tracer.counts["traj_steps"] == tracer.counts["draws"]

@@ -2,9 +2,14 @@
 and determinism of the emitted CSV."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import expsde
 from expsde.cli import CASES, ConfigError, main, parse_config_text
 from expsde.models import PrototypeModel
 from expsde.paths import make_stream
@@ -296,3 +301,23 @@ def test_reference_no_closed_form_notice(capsys):
     assert rc == 0
     assert "exp_neg_x2" in out
     assert "no closed form" in err
+
+
+def test_module_run_with_workers_prints_no_runtime_warning(tmp_path):
+    # `python -m expsde.cli` imports the package first, and each spawned
+    # worker imports it again; a package that imported the CLI eagerly made
+    # runpy warn that expsde.cli was already in sys.modules, a varying number
+    # of times per run.  n = 5000 spans two chunks, so the pool runs.
+    src = str(Path(expsde.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("EXPSDE_CACHE_DIR", None)
+    for module in ("expsde.cli", "expsde"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "weak-error", "--case", "case1",
+             "--n", "5000", "--n0", "64", "--p-ref", "3", "--p-min", "2",
+             "--p-max", "3", "--no-cache", "--workers", "2"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("case,scheme,")
+        assert "RuntimeWarning" not in proc.stderr

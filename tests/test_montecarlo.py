@@ -1,13 +1,15 @@
 """Engine determinism, reduction invariance, and estimator semantics."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from expsde.cli import CASES
-from expsde.models import GeneralDriftModel, PrototypeModel
+from expsde.models import (GeneralDriftModel, GrowthMetadata,
+                           InsufficientMetadataError, PrototypeModel)
 from expsde.montecarlo import (
     AllDivergedError,
     TEST_FUNCTIONS,
@@ -205,6 +207,42 @@ def test_general_drift_model_runs_like_prototype():
                               use_cache=False)
     assert ref == fine_grid_reference(CASES["case1"], "x", n0=300, p_ref=6,
                                       seed=2, use_cache=False)
+
+
+def _case4_drift(x):
+    return 1.0 + 1.0 * x - 0.4 * np.power(x, 5.0)
+
+
+def _recorded(call):
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        result = call()
+    return result, [str(w.message) for w in seen]
+
+
+def test_exp_moment_general_drift_like_prototype():
+    # the bound and its warnings read b_at_zero and the declared growth.B2;
+    # case1 (b(0) = 0) and case4 (b(0) > 0) take the two branches, and each
+    # mu list holds one value below and one above the bound
+    pairs = [
+        (CASES["case1"], GeneralDriftModel(
+            drift=_case1_drift, b_at_zero=0.0, sigma=0.1, alpha=1.5,
+            growth=GrowthMetadata(B1=0.0, B2=2.0, B1p=0.0, B2p=4.0)), (0.01, 250.0)),
+        (CASES["case4"], GeneralDriftModel(
+            drift=_case4_drift, b_at_zero=1.0, sigma=0.1, alpha=3.0,
+            growth=GrowthMetadata(B1=1.0, B2=0.4, B1p=1.0, B2p=2.0)), (0.001, 0.01)),
+    ]
+    for proto, general, mus in pairs:
+        for mu in mus:
+            want, want_warnings = _recorded(lambda: exp_moment_estimate(
+                proto, SchemeKind.ExpES, mu, p=4, n=300, seed=5))
+            got, got_warnings = _recorded(lambda: exp_moment_estimate(
+                general, SchemeKind.ExpES, mu, p=4, n=300, seed=5))
+            assert got == want
+            assert got_warnings == want_warnings
+        assert any("exponential-moment bound" in m for m in got_warnings)
+    with pytest.raises(InsufficientMetadataError):
+        exp_moment_estimate(CASE1_GENERAL, SchemeKind.ExpES, 0.01, p=2, n=10, seed=1)
 
 
 def test_simulate_paths_yields_every_grid_time():

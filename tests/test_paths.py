@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from expsde.cli import CASES
 from expsde.montecarlo import simulate_paths
-from expsde.paths import GaussianStream, make_stream
+from expsde.paths import KEY_BLOCK, GaussianStream, make_stream, philox_keys
 from expsde.schemes import SchemeKind, step
 from conftest import ZeroStream
 
@@ -104,3 +105,71 @@ def test_zero_stream():
     assert np.array_equal(z.standard_normals(5), np.zeros(5))
     assert z.standard_normals(1)[0] * math.sqrt(0.5) == 0.0
     assert z.counter == 6
+
+
+# ------------------------------------------------ bulk keys, shared generator
+
+fixed = settings(max_examples=200, derandomize=True, deadline=None)
+seeds = st.integers(min_value=0, max_value=2**160 - 1)
+
+
+def solo_draws(seed, trajectory, level, n):
+    """The stream drawn the plain numpy way, one generator per stream."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trajectory, level))
+    return np.random.Generator(np.random.Philox(ss)).standard_normal(n)
+
+
+@fixed
+@given(seed=seeds, trajectory=st.integers(0, 2**40 - 1),
+       level=st.integers(0, 2**33))
+# word boundaries of the seed (padding to four words), the trajectory and
+# the level
+@example(seed=0, trajectory=0, level=0)
+@example(seed=2**128 - 1, trajectory=2**32 - 1, level=2**32 - 1)
+@example(seed=2**128, trajectory=2**32, level=2**32)
+@example(seed=2**32, trajectory=2**32 + KEY_BLOCK - 1, level=2**33)
+def test_bulk_keys_equal_seed_sequence(seed, trajectory, level):
+    block, index = divmod(trajectory, KEY_BLOCK)
+    keys = philox_keys(seed, block, level)
+    want = np.random.SeedSequence(
+        entropy=seed, spawn_key=(trajectory, level)).generate_state(2, np.uint64)
+    assert keys.shape == (KEY_BLOCK, 2) and keys.dtype == np.uint64
+    assert np.array_equal(keys[index], want)
+    # spawn key (trajectory,), the key of a stream shared by every level
+    unlevelled = np.random.SeedSequence(
+        entropy=seed, spawn_key=(trajectory,)).generate_state(2, np.uint64)
+    assert np.array_equal(philox_keys(seed, block)[index], unlevelled)
+
+
+@fixed
+@given(keys=st.lists(st.tuples(st.integers(0, 2**70), st.integers(0, 2**33),
+                               st.integers(0, 5)),
+                     min_size=1, max_size=4, unique=True),
+       schedule=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 40)),
+                         max_size=30))
+def test_interleaved_calls_equal_solo_draws(keys, schedule):
+    # widths up to 40 against 2^level <= 32: some calls run past the draws
+    # a path uses, after which the stream replays from its key
+    streams = [make_stream(*key) for key in keys]
+    drawn = [[] for _ in keys]
+    for index, width in schedule:
+        index %= len(keys)
+        drawn[index].append(streams[index].standard_normals(width))
+    for key, stream, parts in zip(keys, streams, drawn):
+        total = sum(len(p) for p in parts)
+        assert stream.counter == total
+        got = np.concatenate(parts) if parts else np.empty(0)
+        assert np.array_equal(got, solo_draws(*key, total))
+
+
+@fixed
+@given(seed=st.integers(0, 2**70), trajectory=st.integers(0, 2**40),
+       level=st.integers(0, 6), counter=st.integers(0, 100),
+       widths=st.lists(st.integers(0, 50), min_size=1, max_size=3))
+def test_counter_fast_forward_equals_solo_draws(seed, trajectory, level,
+                                                counter, widths):
+    stream = GaussianStream(seed, trajectory, level, counter=counter)
+    got = np.concatenate([stream.standard_normals(w) for w in widths])
+    want = solo_draws(seed, trajectory, level, counter + sum(widths))
+    assert np.array_equal(got, want[counter:])
+    assert stream.counter == counter + sum(widths)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from expsde import reference
 from expsde.models import PrototypeModel
 from expsde.reference import (
     DivergentIntegralError,
@@ -248,6 +249,19 @@ def test_cache_key_separates_parameters(tmp_path):
     b = fine_grid_reference(CASE1, "x", seed=10, **kw)
     assert a.value != b.value
     assert len((tmp_path / "references.txt").read_text().splitlines()) == 2
+
+
+def test_cache_serves_only_its_numerics_version(tmp_path, monkeypatch):
+    kw = dict(n0=64, p_ref=2, seed=9, cache_dir=tmp_path)
+    fresh = fine_grid_reference(CASE1, "x", use_cache=False, **kw)
+    monkeypatch.setattr(reference, "NUMERICS_VERSION", reference.NUMERICS_VERSION + 1)
+    fine_grid_reference(CASE1, "x", **kw)
+    path = tmp_path / "references.txt"
+    key = path.read_text().split()[0]
+    path.write_text(f"{key} 123.5 0.25\n")
+    monkeypatch.undo()
+    assert fine_grid_reference(CASE1, "x", **kw) == fresh
+    assert len(path.read_text().splitlines()) == 2
 
 
 def test_cache_disabled_by_flag(tmp_path):
