@@ -205,6 +205,16 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(f"ref_method must be fine-grid or analytic, got {cfg.ref_method!r}")
     if cfg.n < 2:
         raise ConfigError(f"n must be >= 2, got {cfg.n}")
+    if cfg.n0 < 1:
+        raise ConfigError(f"n0 must be >= 1, got {cfg.n0}")
+    if cfg.p_min < 0:
+        raise ConfigError(f"p_min must be >= 0, got {cfg.p_min}")
+    if cfg.p_ref < 1:
+        raise ConfigError(f"p_ref must be >= 1, got {cfg.p_ref}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    if cfg.trajectory < 0:
+        raise ConfigError(f"trajectory must be >= 0, got {cfg.trajectory}")
     if cfg.workers < 1:
         raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     if cfg.p < 0:
@@ -354,7 +364,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     lines = ["t,value"]
     diverged_at = None
     stream = make_stream(cfg.seed, cfg.trajectory, cfg.p)
-    paths = simulate_paths(model, kind, cfg.p, [stream],
+    paths = simulate_paths(model, kind, cfg.p, stream,
                            milstein_half=cfg.milstein_half)
     for k, (x, div) in enumerate(paths):
         if div[0]:

@@ -2,9 +2,10 @@
 empirical moment checks, deterministically parallel.
 
 Trajectories are processed in fixed chunks of CHUNK_TRAJECTORIES.  Each
-trajectory draws its normals from its own keyed stream, stepping is
-vectorized across the chunk, and chunk results are reduced in chunk-index
-order through a pairwise tree with compensated addition.  Neither the
+trajectory draws its normals from its own keyed stream, a row of the one
+stream a chunk draws through (paths.make_stream), stepping is vectorized
+across the chunk, and chunk results are reduced in chunk-index order
+through a pairwise tree with compensated addition.  Neither the
 worker count nor the scheduling order can change any output bit (workers
 only compute whole chunks, which are pure functions of the chunk index).
 
@@ -123,29 +124,30 @@ def resolve_test_function(f):
 # ------------------------------------------------------------------ engine
 
 def simulate_paths(model, kind, p, streams, milstein_half: bool = False):
-    """Step one path per stream over the uniform 2^p grid of the horizon.
+    """Step one path per row of streams over the uniform 2^p grid of the
+    horizon.
 
+    streams is one stream covering streams.count trajectories, such as
+    make_stream(seed, start, p, count); each path draws from its own row.
     Yields (states, diverged) at every grid time, the start included: 2^p + 1
-    pairs of arrays with one element per stream.  A path that diverges keeps
+    pairs of arrays with one element per row.  A path that diverges keeps
     its last good state and is flagged from then on.  Draws 2^p standard
-    normals from each stream in segments of SEGMENT_STEPS, and stops early
-    (without drawing the rest) once every path has diverged.
+    normals per row in segments of SEGMENT_STEPS, one standard_normals call
+    per segment, and stops early (without drawing the rest) once every path
+    has diverged.
     """
     if p < 0:
         raise ValueError(f"refinement level must be nonnegative, got {p}")
     n_steps = 1 << p
     dt = model.horizon / n_steps
     sqdt = math.sqrt(dt)
-    count = len(streams)
+    count = streams.count
     x = np.full(count, model.x0, dtype=np.float64)
     div = np.zeros(count, dtype=bool)
     yield x, div
-    block = np.empty((count, min(SEGMENT_STEPS, n_steps)), dtype=np.float64)
     for k0 in range(0, n_steps, SEGMENT_STEPS):
-        width = min(SEGMENT_STEPS, n_steps - k0)
-        for i, s in enumerate(streams):
-            block[i, :width] = s.standard_normals(width)
-        for j in range(width):
+        block = streams.standard_normals(min(SEGMENT_STEPS, n_steps - k0))
+        for j in range(block.shape[1]):
             if div.all():
                 return
             cand = step_values(kind, model, x, dt, block[:, j] * sqdt,
@@ -153,6 +155,8 @@ def simulate_paths(model, kind, p, streams, milstein_half: bool = False):
             div = div | ~alive(cand)
             x = np.where(div, x, cand)
             yield x, div
+        # free this segment's draws before the next segment's are made
+        del block
 
 
 def _chunk_payload(model, kind, p, seed, start, count, with_integral, milstein_half):
@@ -164,9 +168,9 @@ def _chunk_payload(model, kind, p, seed, start, count, with_integral, milstein_h
     dt = model.horizon / (1 << p)
     power = 2.0 * model.alpha - 2.0
     integral = np.zeros(count, dtype=np.float64) if with_integral else None
-    streams = [make_stream(seed, start + i, p) for i in range(count)]
+    stream = make_stream(seed, start, p, count)
     prev = None
-    for x, div in simulate_paths(model, kind, p, streams, milstein_half):
+    for x, div in simulate_paths(model, kind, p, stream, milstein_half):
         if with_integral and prev is not None:
             # left endpoint: the state before each step, unless frozen
             px, pdiv = prev
@@ -235,8 +239,10 @@ def _assemble(sums, sumsqs, n_eff, n_div):
     if n_eff == 1:
         stderr = math.inf
     else:
-        var = max(0.0, (total_sq - n_eff * mean * mean) / (n_eff - 1))
-        stderr = math.sqrt(var / n_eff)
+        var = (total_sq - n_eff * mean * mean) / (n_eff - 1)
+        # an overflowed sum of squares gives inf or nan: no finite stderr
+        stderr = (math.sqrt(max(0.0, var) / n_eff) if math.isfinite(var)
+                  else math.inf)
     return Estimate(mean=mean, stderr=stderr, n_effective=n_eff, n_diverged=n_div)
 
 
@@ -260,8 +266,9 @@ def estimate_many(model, kind, fs, p, n, seed, workers: int = 1,
             good = ~div & np.isfinite(vals)
             sums, sumsqs, n_eff, n_div = per_f[idx]
             safe = np.where(good, vals, 0.0)
-            sums.append(float(np.sum(safe)))
-            sumsqs.append(float(np.sum(safe * safe)))
+            with np.errstate(over="ignore"):
+                sums.append(float(np.sum(safe)))
+                sumsqs.append(float(np.sum(safe * safe)))
             per_f[idx] = (sums, sumsqs,
                           n_eff + int(good.sum()),
                           n_div + int((~good).sum()))
@@ -375,8 +382,9 @@ def exp_moment_estimate(model, kind, mu, p, n, seed, workers: int = 1) -> Estima
             vals = np.exp(mu * integral)
         good = ~div & np.isfinite(vals)
         safe = np.where(good, vals, 0.0)
-        sums.append(float(np.sum(safe)))
-        sumsqs.append(float(np.sum(safe * safe)))
+        with np.errstate(over="ignore"):
+            sums.append(float(np.sum(safe)))
+            sumsqs.append(float(np.sum(safe * safe)))
         n_eff += int(good.sum())
         n_div += int((~good).sum())
     return _assemble(sums, sumsqs, n_eff, n_div)

@@ -1,18 +1,23 @@
 """Reproducible Gaussian increment streams keyed by (seed, trajectory, level).
 
-Each stream is a counter-based Philox generator whose key is numpy's
-SeedSequence hash of the seed with (trajectory, level) as the spawn key,
-that is the key `Philox(SeedSequence(entropy=seed, spawn_key=(trajectory,
+Each trajectory's stream is a counter-based Philox generator whose key is
+numpy's SeedSequence hash of the seed with (trajectory, level) as the spawn
+key, that is the key `Philox(SeedSequence(entropy=seed, spawn_key=(trajectory,
 level)))` would use.  The k-th draw of a stream is a pure function of
-(seed, trajectory, level, k): simulation order and worker layout cannot
-change any value.  Draws are standard normals; the path stepper
-(montecarlo.simulate_paths) scales them by sqrt(dt).  Anything with a
-standard_normals(n) method can stand in for a stream there.
+(seed, trajectory, level, k): simulation order, chunking and worker layout
+cannot change any value.  Draws are standard normals; the path stepper
+(montecarlo.simulate_paths) scales them by sqrt(dt).
+
+A GaussianStream covers a run of `count` consecutive trajectories, one row
+each: the engine makes one per chunk of paths, and standard_normals(n)
+returns the next n draws of every row as one (count, n) array.  Anything
+with a `count` and such a standard_normals(n) method can stand in for a
+stream in the stepper.
 
 Keys are computed in bulk, KEY_BLOCK trajectories per numpy pass
 (philox_keys re-implements the SeedSequence pool hash on uint32 arrays),
-and streams draw through one Philox generator per thread, re-keyed per
-call by assigning its state.  Neither changes a draw: only the per-stream
+and rows draw through one Philox generator per thread, re-keyed per row
+by assigning its state.  Neither changes a draw: only the per-trajectory
 SeedSequence, Philox and Generator objects are gone.
 
 The generator family (Philox via numpy) is fixed per release; changing it
@@ -127,7 +132,7 @@ def _stream_keys(seed: int, level: int, block: int) -> tuple:
 
 class _Generator(threading.local):
     """The Philox generator streams draw through, one per thread.  Every
-    draw first assigns the drawing stream's whole state to it."""
+    row's draw first assigns that row's whole state to it."""
 
     def __init__(self):
         self.gen = np.random.Generator(np.random.Philox(0))
@@ -143,51 +148,85 @@ _SHARED = _Generator()
 
 
 class GaussianStream:
-    """Deterministic per-trajectory source of standard normal draws.
+    """Deterministic source of standard normal draws for `count` consecutive
+    trajectories, starting at `trajectory`.
 
-    The stream keeps its generator state between calls while fewer than
-    2^level draws have been made, the number a path at that level uses.
-    A call after that replays the stream from its key, which gives the same
-    draws at a cost that grows with the counter.
+    Row i of every draw is the stream of trajectory + i alone: its values do
+    not depend on `count` or on the other rows.  A row keeps its generator
+    state between calls while fewer than 2^level draws have been made, the
+    number a path at that level uses.  A call after that replays the row
+    from its key, which gives the same draws at a cost that grows with the
+    counter.
     """
 
-    __slots__ = ("seed", "trajectory", "level", "counter", "_key", "_state")
+    __slots__ = ("seed", "trajectory", "level", "count", "counter",
+                 "_keys", "_states")
 
-    def __init__(self, seed: int, trajectory: int, level: int, counter: int = 0):
+    def __init__(self, seed: int, trajectory: int, level: int, count: int = 1,
+                 counter: int = 0):
         if seed < 0 or trajectory < 0 or level < 0 or counter < 0:
             raise ValueError("seed, trajectory, level, counter must be nonnegative")
+        if count < 1:
+            raise ValueError(f"count must be >= 1, got {count}")
         self.seed = int(seed)
         self.trajectory = int(trajectory)
         self.level = int(level)
+        self.count = int(count)
         self.counter = int(counter)
-        block, index = divmod(self.trajectory, KEY_BLOCK)
-        self._key = _stream_keys(self.seed, self.level, block)[index]
-        self._state = None  # generator state after `counter` draws, if kept
+        keys = []
+        first, last = self.trajectory, self.trajectory + self.count
+        while first < last:  # one key block, or the part of it in the run
+            block, index = divmod(first, KEY_BLOCK)
+            take = min(KEY_BLOCK - index, last - first)
+            keys += _stream_keys(self.seed, self.level, block)[index:index + take]
+            first += take
+        self._keys = keys
+        # per-row generator states after `counter` draws, while kept
+        self._states = None
 
     def standard_normals(self, n: int) -> np.ndarray:
-        """Draw the next n standard normals (consecutive calls concatenate)."""
+        """Draw the next n standard normals of every row, as a fresh
+        (count, n) array (consecutive calls concatenate along each row)."""
         n = int(n)
+        out = np.empty((self.count, n), dtype=np.float64)
         shared = _SHARED
-        if self._state is not None:
-            shared.bitgen.state = self._state
-        else:
-            # start from the key and replay the draws already made
-            shared.fresh["state"]["key"] = self._key
-            shared.bitgen.state = shared.fresh
-            if self.counter:
-                shared.gen.standard_normal(self.counter)
-        out = shared.gen.standard_normal(n)
+        gen, bitgen = shared.gen, shared.bitgen
+        counter = self.counter
         self.counter += n
-        # counter < 2^level: the path has draws to come, keep the state
-        self._state = (shared.bitgen.state
-                       if self.counter.bit_length() <= self.level else None)
+        # counter < 2^level: the paths have draws to come, keep the states
+        keep = self.counter.bit_length() <= self.level
+        states = self._states
+        if states is None:
+            # start every row from its key and replay the draws already made
+            fresh = shared.fresh
+            fresh_state = fresh["state"]
+            if keep:
+                states = self._states = [None] * self.count
+            for i, key in enumerate(self._keys):
+                fresh_state["key"] = key
+                bitgen.state = fresh
+                if counter:
+                    gen.standard_normal(counter)
+                gen.standard_normal(out=out[i])
+                if keep:
+                    states[i] = bitgen.state
+        else:
+            for i, state in enumerate(states):
+                bitgen.state = state
+                gen.standard_normal(out=out[i])
+                if keep:
+                    states[i] = bitgen.state
+            if not keep:
+                self._states = None
         return out
 
     def __repr__(self):
         return (f"GaussianStream(seed={self.seed}, trajectory={self.trajectory}, "
-                f"level={self.level}, counter={self.counter})")
+                f"level={self.level}, count={self.count}, counter={self.counter})")
 
 
-def make_stream(seed: int, trajectory: int, level: int) -> GaussianStream:
-    """Construct the keyed stream for one trajectory at one refinement level."""
-    return GaussianStream(seed, trajectory, level)
+def make_stream(seed: int, trajectory: int, level: int,
+                count: int = 1) -> GaussianStream:
+    """Construct the keyed stream of trajectories [trajectory, trajectory +
+    count) at one refinement level."""
+    return GaussianStream(seed, trajectory, level, count)

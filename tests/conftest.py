@@ -30,22 +30,24 @@ MASTER_SEED = 0
 
 
 class ZeroStream:
-    """Test double for a Gaussian stream: every draw is 0, so Brownian
-    increments vanish and a simulation reduces to the deterministic part of
-    the scheme."""
+    """Test double for a one-row Gaussian stream: every draw is 0, so
+    Brownian increments vanish and a simulation reduces to the deterministic
+    part of the scheme."""
+
+    count = 1
 
     def __init__(self):
         self.counter = 0
 
     def standard_normals(self, n):
         self.counter += int(n)
-        return np.zeros(int(n))
+        return np.zeros((1, int(n)))
 
 
 def path_terminal(model, kind, p, stream, milstein_half=False):
-    """(terminal value, diverged flag) of the one path drawn from stream; a
-    diverged path reports its last good state."""
-    for x, div in simulate_paths(model, kind, p, [stream], milstein_half):
+    """(terminal value, diverged flag) of the path drawn from the one-row
+    stream; a diverged path reports its last good state."""
+    for x, div in simulate_paths(model, kind, p, stream, milstein_half):
         pass
     return float(x[0]), bool(div[0])
 

@@ -5,14 +5,16 @@ refactor that renames or stops calling one of them would silently blind
 `bench/run.py --trace 1`.  This installs the tracer, drives one tiny compare
 through cli.main, and checks that every patched attribute existed, that each
 wrapped layer was reached through its module global, that restore puts
-the originals back, and that the paths counters mean what bench/README.md
-says: one make_stream call per trajectory simulated, 2^p draws per path.
+the originals back, and what the paths counters count: one make_stream
+call per chunk of trajectories simulated, and 2^p draws per chunk (the
+width of each standard_normals call, which fills every row of the chunk).
 """
 
 import importlib.util
 from pathlib import Path
 
 import expsde
+from expsde.montecarlo import CHUNK_TRAJECTORIES
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 
@@ -51,7 +53,8 @@ def test_install_patches_existing_names_and_restores(tmp_path, capsys, monkeypat
             assert attribute(owner, attr) is not old
         rc = expsde.cli.main(["compare", "--case", "case1", "--scheme", "exp-es",
                               "--scheme", "ses", "--p-min", "2", "--p-max", "3",
-                              "--n", "50", "--n0", "64", "--p-ref", "3",
+                              "--n", str(CHUNK_TRAJECTORIES + 37),
+                              "--n0", "64", "--p-ref", "3",
                               "--no-cache", "--output", str(tmp_path / "c.csv")])
     finally:
         tracer.restore()
@@ -65,9 +68,11 @@ def test_install_patches_existing_names_and_restores(tmp_path, capsys, monkeypat
                  "paths.standard_normals", "schemes.step_values.exp-es",
                  "schemes.step_values.ses", "models.drift_eval"):
         assert tracer.calls(name) > 0, name
-    # one stream per trajectory simulated, and a path at level p draws 2^p
-    # normals (no path of this compare diverges, so none stops early)
-    assert requested
-    assert tracer.calls("paths.make_stream") == sum(n for n, _ in requested)
-    assert tracer.counts["draws"] == sum(n << p for n, p in requested)
-    assert tracer.counts["traj_steps"] == tracer.counts["draws"]
+    # one stream per chunk, the last one partial, and a chunk at level p
+    # draws 2^p normals per row (no path of this compare diverges, so none
+    # stops early)
+    chunks = [(-(-n // CHUNK_TRAJECTORIES), p) for n, p in requested]
+    assert any(c == 2 for c, _ in chunks)
+    assert tracer.calls("paths.make_stream") == sum(c for c, _ in chunks)
+    assert tracer.counts["draws"] == sum(c << p for c, p in chunks)
+    assert tracer.counts["traj_steps"] == sum(n << p for n, p in requested)

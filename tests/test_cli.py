@@ -78,6 +78,11 @@ def test_check_inline_model(capsys):
     ["check"],                                          # no model at all
     ["rate", "--profile", "wide"],                      # profile sans config
     ["check", "--case", "case99"],
+    ["simulate", "--case", "case1", "--trajectory", "-1"],
+    ["simulate", "--case", "case1", "--seed", "-2"],
+    ["weak-error", "--case", "case1", "--p-min", "-1"],
+    ["reference", "--case", "case1", "--n0", "0"],
+    ["reference", "--case", "case1", "--p-ref", "0"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     rc, _, err = run(argv, capsys)

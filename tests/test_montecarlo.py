@@ -1,6 +1,7 @@
 """Engine determinism, reduction invariance, and estimator semantics."""
 
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -246,7 +247,7 @@ def test_exp_moment_general_drift_like_prototype():
 
 
 def test_simulate_paths_yields_every_grid_time():
-    streams = [make_stream(5, i, 3) for i in range(3)]
+    streams = make_stream(5, 0, 3, 3)
     states = list(simulate_paths(CASE1, SchemeKind.ExpES, 3, streams))
     assert len(states) == (1 << 3) + 1
     assert all(x.shape == (3,) and div.shape == (3,) for x, div in states)
@@ -254,3 +255,37 @@ def test_simulate_paths_yields_every_grid_time():
     assert not any(div.any() for _, div in states)
     with pytest.raises(ValueError):
         next(simulate_paths(CASE1, SchemeKind.ExpES, -1, streams))
+
+
+def test_overflowed_sum_of_squares_gives_infinite_stderr():
+    # squares of values near 1e200 overflow: the standard error is unknown,
+    # not zero, and the overflow is no warning of its own
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        est = estimate_many(CASE1, SchemeKind.ExpES, [lambda x: 1e200 * x],
+                            3, 2000, 1)[0]
+        assert math.isfinite(est.mean)
+        assert est.stderr == math.inf
+        est = exp_moment_estimate(CASE2, SchemeKind.ExpES, 400.0, 3, 2000, 1)
+        assert math.isfinite(est.mean)
+        assert est.stderr == math.inf
+    # only the exponential-moment bound warning for mu = 400
+    assert [w.category for w in caught] == [UserWarning]
+    assert "exponential-moment bound" in str(caught[0].message)
+
+
+def test_segments_never_hold_two_blocks_of_draws():
+    # a chunk at p = 11 draws two 1024-step segments; the first segment's
+    # (count, 1024) block must be freed before the second is drawn, or the
+    # peak memory of a long-path run doubles
+    count = 512
+    block_bytes = count * 1024 * 8
+    tracemalloc.start()
+    try:
+        for _ in simulate_paths(CASE1, SchemeKind.ExpES, 11,
+                                make_stream(3, 0, 11, count)):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block_bytes <= peak < 1.5 * block_bytes

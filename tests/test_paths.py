@@ -8,15 +8,16 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from expsde.cli import CASES
-from expsde.montecarlo import simulate_paths
+from expsde.montecarlo import estimate_many, simulate_paths
 from expsde.paths import KEY_BLOCK, GaussianStream, make_stream, philox_keys
 from expsde.schemes import SchemeKind, step
-from conftest import ZeroStream
+from conftest import ZeroStream, path_terminal
 
 
 def test_same_key_same_sequence():
     a = make_stream(123, 4, 2).standard_normals(64)
     b = make_stream(123, 4, 2).standard_normals(64)
+    assert a.shape == (1, 64)
     assert np.array_equal(a, b)
 
 
@@ -42,7 +43,7 @@ def test_segmented_draws_equal_one_shot():
     one = make_stream(77, 0, 6).standard_normals(4096)
     s = make_stream(77, 0, 6)
     parts = [s.standard_normals(k) for k in (1, 7, 120, 968, 3000)]
-    assert np.array_equal(one, np.concatenate(parts))
+    assert np.array_equal(one, np.concatenate(parts, axis=1))
 
 
 def test_counter_fast_forward():
@@ -57,9 +58,9 @@ def test_increment_is_draw_times_sqrt_dt():
     # the path stepper turns the k-th draw into the k-th Brownian increment
     # z_k * sqrt(dt): at p = 2 (dt = 0.25) its first state is one step with
     # that increment
-    z = make_stream(42, 0, 2).standard_normals(1)[0]
+    z = make_stream(42, 0, 2).standard_normals(1)[0, 0]
     model = CASES["case1"]
-    states = simulate_paths(model, SchemeKind.SES, 2, [make_stream(42, 0, 2)])
+    states = simulate_paths(model, SchemeKind.SES, 2, make_stream(42, 0, 2))
     next(states)
     x, _ = next(states)
     assert x[0] == step(SchemeKind.SES, model, model.x0, 0.25, z * math.sqrt(0.25))
@@ -69,7 +70,7 @@ def test_next_increment_rejects_bad_dt():
     # a draw becomes an increment only over a positive step: the step that
     # consumes it refuses dt <= 0 for every scheme
     model = CASES["case1"]
-    z = make_stream(0, 0, 0).standard_normals(1)[0]
+    z = make_stream(0, 0, 0).standard_normals(1)[0, 0]
     for kind in SchemeKind:
         with pytest.raises(ValueError):
             step(kind, model, model.x0, 0.0, z * math.sqrt(0.0))
@@ -77,33 +78,33 @@ def test_next_increment_rejects_bad_dt():
 
 def test_mean_clt_bound():
     # CLT: |mean| < 4/sqrt(n) with n = 1e6, dt = 1
-    draws = make_stream(2024, 0, 0).standard_normals(1_000_000)
+    draws = make_stream(2024, 0, 0).standard_normals(1_000_000)[0]
     assert abs(draws.mean()) < 4e-3
 
 
 def test_variance_concentration():
-    draws = make_stream(2025, 0, 0).standard_normals(1_000_000)
+    draws = make_stream(2025, 0, 0).standard_normals(1_000_000)[0]
     incs = draws * math.sqrt(0.25)
     assert abs(incs.var() - 0.25) < 0.02 * 0.25
 
 
 def test_cross_correlation_small():
-    a = make_stream(31, 0, 0).standard_normals(100_000)
-    b = make_stream(31, 1, 0).standard_normals(100_000)
+    a = make_stream(31, 0, 0).standard_normals(100_000)[0]
+    b = make_stream(31, 1, 0).standard_normals(100_000)[0]
     r = np.corrcoef(a, b)[0, 1]
     assert abs(r) < 0.02
 
 
 def test_normality_ks():
-    draws = make_stream(515, 0, 0).standard_normals(100_000)
+    draws = make_stream(515, 0, 0).standard_normals(100_000)[0]
     stat = stats.kstest(draws, "norm").statistic
     assert stat < 0.01
 
 
 def test_zero_stream():
     z = ZeroStream()
-    assert np.array_equal(z.standard_normals(5), np.zeros(5))
-    assert z.standard_normals(1)[0] * math.sqrt(0.5) == 0.0
+    assert np.array_equal(z.standard_normals(5), np.zeros((1, 5)))
+    assert z.standard_normals(1)[0, 0] * math.sqrt(0.5) == 0.0
     assert z.counter == 6
 
 
@@ -154,7 +155,7 @@ def test_interleaved_calls_equal_solo_draws(keys, schedule):
     drawn = [[] for _ in keys]
     for index, width in schedule:
         index %= len(keys)
-        drawn[index].append(streams[index].standard_normals(width))
+        drawn[index].append(streams[index].standard_normals(width)[0])
     for key, stream, parts in zip(keys, streams, drawn):
         total = sum(len(p) for p in parts)
         assert stream.counter == total
@@ -169,7 +170,79 @@ def test_interleaved_calls_equal_solo_draws(keys, schedule):
 def test_counter_fast_forward_equals_solo_draws(seed, trajectory, level,
                                                 counter, widths):
     stream = GaussianStream(seed, trajectory, level, counter=counter)
-    got = np.concatenate([stream.standard_normals(w) for w in widths])
+    got = np.concatenate([stream.standard_normals(w)[0] for w in widths])
     want = solo_draws(seed, trajectory, level, counter + sum(widths))
     assert np.array_equal(got, want[counter:])
     assert stream.counter == counter + sum(widths)
+
+
+# ------------------------------------------------------------ chunk streams
+
+def block_edge(block, offset):
+    """A start `offset` trajectories before the end of a key block."""
+    return max(0, (block + 1) * KEY_BLOCK - offset)
+
+
+starts = st.one_of(st.integers(0, 2**40),
+                   st.builds(block_edge, st.integers(0, 2**30), st.integers(0, 40)))
+
+
+@fixed
+@given(seed=st.integers(0, 2**70), start=starts, count=st.integers(1, 48),
+       level=st.integers(0, 6),
+       widths=st.lists(st.integers(0, 40), min_size=1, max_size=5))
+# runs that straddle a key block boundary, below and above 2^32
+@example(seed=3, start=KEY_BLOCK - 5, count=12, level=2, widths=[4, 3])
+@example(seed=0, start=2**32 - 7, count=16, level=4, widths=[16, 1])
+@example(seed=2**64, start=2**32 + KEY_BLOCK - 1, count=2, level=0,
+         widths=[0, 1, 2])
+def test_chunk_rows_equal_one_row_streams(seed, start, count, level, widths):
+    # widths up to 40 against 2^level <= 64: some calls run past the draws
+    # a path uses, after which every row replays from its key
+    chunk = make_stream(seed, start, level, count)
+    rows = [make_stream(seed, start + i, level) for i in range(count)]
+    parts = []
+    for width in widths:
+        got = chunk.standard_normals(width)
+        assert got.shape == (count, width)
+        for i, row in enumerate(rows):
+            assert np.array_equal(got[i], row.standard_normals(width)[0])
+        parts.append(got)
+    total = sum(widths)
+    assert chunk.counter == total
+    got = np.concatenate(parts, axis=1)
+    for i in (0, count - 1):
+        assert np.array_equal(got[i], solo_draws(seed, start + i, level, total))
+
+
+@fixed
+@given(seed=st.integers(0, 2**70), start=starts, count=st.integers(1, 24),
+       level=st.integers(0, 6), counter=st.integers(0, 100),
+       widths=st.lists(st.integers(0, 50), min_size=1, max_size=3))
+def test_chunk_counter_fast_forwards_every_row(seed, start, count, level,
+                                               counter, widths):
+    chunk = GaussianStream(seed, start, level, count, counter=counter)
+    got = np.concatenate([chunk.standard_normals(w) for w in widths], axis=1)
+    for i in range(count):
+        want = solo_draws(seed, start + i, level, counter + sum(widths))
+        assert np.array_equal(got[i], want[counter:])
+
+
+@pytest.mark.parametrize("case, kind", [("case1", SchemeKind.ExpES),
+                                        ("case2", SchemeKind.TES)])
+def test_ensemble_chunks_equal_one_row_paths(case, kind):
+    # a partial last chunk (4096 + 37 paths) and two draw segments (p = 11):
+    # every terminal the ensemble sees is that of its own one-row path
+    model, p, n, seed = CASES[case], 11, KEY_BLOCK + 37, 4
+    seen = []
+
+    def record(x):
+        seen.append(x.copy())
+        return x
+
+    estimate_many(model, kind, [record], p, n, seed)
+    terminals = np.concatenate(seen)
+    assert len(seen) == 2 and len(terminals) == n
+    for t in (0, 1, 2047, KEY_BLOCK - 1, KEY_BLOCK, KEY_BLOCK + 17, n - 1):
+        terminal, _ = path_terminal(model, kind, p, make_stream(seed, t, p))
+        assert terminals[t] == terminal, t

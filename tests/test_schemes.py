@@ -23,7 +23,9 @@ CASE4 = PrototypeModel(b0=1.0, b1=1.0, b2=0.4, sigma=0.1, alpha=3.0)
 
 
 class FixedStream:
-    """Replays a fixed list of standard normals."""
+    """One-row stream replaying a fixed list of standard normals."""
+
+    count = 1
 
     def __init__(self, values):
         self.values = list(values)
@@ -34,7 +36,7 @@ class FixedStream:
         if len(out) != n:
             raise RuntimeError("stream exhausted")
         self.counter += n
-        return out
+        return out[None, :]
 
 
 ES, EXP = SchemeKind.ExpES, SchemeKind.ExplicitExpEuler
@@ -49,7 +51,7 @@ def test_exp_es_case1_unit_step():
     assert alive(out)
     # one step of dt = 1 spans the unit horizon: the p = 0 path is the start
     # plus this one state
-    states = [x[0] for x, _ in simulate_paths(CASE1, ES, 0, [ZeroStream()])]
+    states = [x[0] for x, _ in simulate_paths(CASE1, ES, 0, ZeroStream())]
     assert states == [1.0, out]
 
 
@@ -220,7 +222,7 @@ def test_scheme_kind_ids():
 def test_simulate_single_step_composition():
     # p=0: one step over the whole horizon reproduces the scalar step
     stream = make_stream(11, 0, 0)
-    z = make_stream(11, 0, 0).standard_normals(1)[0]
+    z = make_stream(11, 0, 0).standard_normals(1)[0, 0]
     term, div = path_terminal(CASE1, ES, 0, stream)
     ref = step(ES, CASE1, CASE1.x0, 1.0, z * 1.0)
     assert term == ref
@@ -244,7 +246,7 @@ def test_simulate_divergence_freezes():
     # fractional power of the negative state and produces NaN; the path
     # keeps its last good (negative) state and is flagged from then on
     stream = FixedStream([-3.0, 0.5])
-    states = list(simulate_paths(CASE2, TES, 1, [stream]))
+    states = list(simulate_paths(CASE2, TES, 1, stream))
     first = step(TES, CASE2, 1.0, 0.5, -3.0 * math.sqrt(0.5))
     assert first < 0.0
     assert math.isnan(step_values(TES, CASE2, np.array([first]), 0.5,
