@@ -3,8 +3,9 @@ check/reference/weak-error/compare/rate/simulate commands.
 
 Config files are flat ``key = value`` text with optional ``[profile]``
 sections overlaying the base keys; a key repeated inside one section
-accumulates into a list (used for scheme and test_fn).  Every flag has a
-config twin under the same name with dashes as underscores.  Flags beat
+accumulates into a list (used for scheme and test_fn).  ``RunConfig`` is
+the one table of options: each field is a config key and a flag of the
+same name with dashes as underscores, with its range check.  Flags beat
 the config file, which beats built-in defaults.
 
 Exit codes: 0 success, 1 divergence-dominated result, 2 usage or config
@@ -17,7 +18,7 @@ import argparse
 import io
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -56,38 +57,13 @@ CASES = {
 
 ALL_SCHEME_IDS = tuple(k.value for k in SchemeKind)
 COMPARE_SCHEMES = ("exp-es", "ses", "sms", "tes", "stes")
+MODEL_KEYS = ("b0", "b1", "b2", "sigma", "alpha", "x0", "horizon")
+# finest level any command accepts; a path at level p takes 2^p steps
+MAX_LEVEL = 30
 
 
 class ConfigError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    case: Optional[str] = None
-    b0: float = 0.0
-    b1: float = 0.0
-    b2: Optional[float] = None
-    sigma: Optional[float] = None
-    alpha: Optional[float] = None
-    x0: float = 1.0
-    horizon: float = 1.0
-    scheme: tuple = ()
-    test_fn: tuple = ("x",)
-    p_min: int = 2
-    p_max: int = 7
-    p: int = 8              # single level, simulate only
-    n: int = 100_000
-    n0: int = DEFAULT_N0
-    p_ref: int = DEFAULT_P_REF
-    seed: int = 0
-    workers: int = 1
-    output: Optional[str] = None
-    ref_method: str = "fine-grid"
-    cache_dir: Optional[str] = None
-    no_cache: bool = False
-    milstein_half: bool = False
-    trajectory: int = 0
 
 
 def _cast_bool(text: str) -> bool:
@@ -100,27 +76,56 @@ def _cast_bool(text: str) -> bool:
 
 
 def _cast_str_tuple(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(str(v) for v in value)
+    if isinstance(value, list):
+        return tuple(value)
     return (str(value),)
 
 
-# config key -> caster applied to the raw string (or list of strings)
-_CASTERS = {
-    "case": str,
-    "b0": float, "b1": float, "b2": float, "sigma": float, "alpha": float,
-    "x0": float, "horizon": float,
-    "scheme": _cast_str_tuple,
-    "test_fn": _cast_str_tuple,
-    "p_min": int, "p_max": int, "p": int,
-    "n": int, "n0": int, "p_ref": int, "seed": int, "workers": int,
-    "output": str,
-    "ref_method": str,
-    "cache_dir": str,
-    "no_cache": _cast_bool,
-    "milstein_half": _cast_bool,
-    "trajectory": int,
-}
+def _opt(default, cast, doc, low=None, high=None):
+    """One run option: its default, the caster for its config-file text,
+    its flag help and an optional inclusive range [low, high]."""
+    return field(default=default,
+                 metadata={"cast": cast, "help": doc, "low": low, "high": high})
+
+
+@dataclass
+class RunConfig:
+    """Every run option, declared once.  Each field is a config key of the
+    same name and a ``--flag`` with underscores as dashes; the caster picks
+    the flag's form (``_cast_bool`` a bare switch, ``_cast_str_tuple`` a
+    repeatable flag).  The model fields left ``None`` take the
+    ``PrototypeModel`` defaults, so a given one is never silently dropped."""
+
+    case: Optional[str] = _opt(None, str, "catalog case id (case1..case7)")
+    b0: Optional[float] = _opt(None, float, "drift constant term (default 0)")
+    b1: Optional[float] = _opt(None, float, "drift linear coefficient (default 0)")
+    b2: Optional[float] = _opt(None, float, "drift superlinear coefficient")
+    sigma: Optional[float] = _opt(None, float, "diffusion coefficient")
+    alpha: Optional[float] = _opt(None, float, "diffusion power (> 1)")
+    x0: Optional[float] = _opt(None, float, "initial value (default 1)")
+    horizon: Optional[float] = _opt(None, float, "time horizon (default 1)")
+    scheme: tuple = _opt((), _cast_str_tuple,
+                         f"scheme id, repeatable; one of {', '.join(ALL_SCHEME_IDS)}")
+    test_fn: tuple = _opt(("x",), _cast_str_tuple,
+                          "test function id, repeatable: x, x2, inv_x, exp_neg_x2")
+    p_min: int = _opt(2, int, "coarsest level (default 2)", low=0)
+    p_max: int = _opt(7, int, "finest level (default 7)", high=MAX_LEVEL)
+    p: int = _opt(8, int, "single level for simulate (default 8)", low=0, high=MAX_LEVEL)
+    n: int = _opt(100_000, int, "trajectories per level (default 100000)", low=2)
+    n0: int = _opt(DEFAULT_N0, int, f"reference trajectories (default {DEFAULT_N0})", low=1)
+    p_ref: int = _opt(DEFAULT_P_REF, int, f"reference level (default {DEFAULT_P_REF})",
+                      low=1, high=MAX_LEVEL)
+    seed: int = _opt(0, int, "master seed (default 0)", low=0)
+    workers: int = _opt(1, int, "worker processes (default 1)", low=1)
+    output: Optional[str] = _opt(None, str, "write result here instead of stdout")
+    ref_method: str = _opt("fine-grid", str,
+                           "reference command only: fine-grid or analytic (default fine-grid)")
+    cache_dir: Optional[str] = _opt(None, str,
+                                    "reference cache directory (default $EXPSDE_CACHE_DIR)")
+    no_cache: bool = _opt(False, _cast_bool, "disable the reference cache")
+    milstein_half: bool = _opt(False, _cast_bool,
+                               "use the half-coefficient Milstein correction")
+    trajectory: int = _opt(0, int, "trajectory index for simulate (default 0)", low=0)
 
 
 def parse_config_text(text: str):
@@ -156,6 +161,7 @@ def parse_config_text(text: str):
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
+    casters = {f.name: f.metadata["cast"] for f in fields(RunConfig)}
     settings = {}
     if getattr(args, "config", None):
         try:
@@ -170,25 +176,34 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise ConfigError(f"unknown profile {args.profile!r}; defined: {known}")
             merged.update(profiles[args.profile])
         for key, value in merged.items():
-            if key not in _CASTERS:
+            if key not in casters:
                 raise ConfigError(f"unknown config key {key!r}")
+            if isinstance(value, list) and casters[key] is not _cast_str_tuple:
+                raise ConfigError(f"config key {key!r} is given more than once")
             try:
-                settings[key] = _CASTERS[key](value)
-            except (TypeError, ValueError) as exc:
+                settings[key] = casters[key](value)
+            except ValueError as exc:
                 raise ConfigError(f"config key {key!r}: {exc}")
     elif getattr(args, "profile", None):
         raise ConfigError("--profile needs --config")
-    for key in _CASTERS:
+    for key, cast in casters.items():
         value = getattr(args, key, None)
         if value is None:
             continue
-        settings[key] = _cast_str_tuple(value) if key in ("scheme", "test_fn") else value
-    cfg = replace(RunConfig(), **settings)
+        # argparse has cast scalar flags already; repeated flags arrive as lists
+        settings[key] = cast(value) if isinstance(value, list) else value
+    cfg = RunConfig(**settings)
     _validate_config(cfg)
     return cfg
 
 
 def _validate_config(cfg: RunConfig) -> None:
+    for opt in fields(RunConfig):
+        value, low, high = getattr(cfg, opt.name), opt.metadata["low"], opt.metadata["high"]
+        if low is not None and value < low:
+            raise ConfigError(f"{opt.name} must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise ConfigError(f"{opt.name} must be <= {high}, got {value}")
     if cfg.p_min > cfg.p_max:
         raise ConfigError(f"empty p range: p_min={cfg.p_min} > p_max={cfg.p_max}")
     for s in cfg.scheme:
@@ -203,26 +218,12 @@ def _validate_config(cfg: RunConfig) -> None:
             )
     if cfg.ref_method not in ("fine-grid", "analytic"):
         raise ConfigError(f"ref_method must be fine-grid or analytic, got {cfg.ref_method!r}")
-    if cfg.n < 2:
-        raise ConfigError(f"n must be >= 2, got {cfg.n}")
-    if cfg.n0 < 1:
-        raise ConfigError(f"n0 must be >= 1, got {cfg.n0}")
-    if cfg.p_min < 0:
-        raise ConfigError(f"p_min must be >= 0, got {cfg.p_min}")
-    if cfg.p_ref < 1:
-        raise ConfigError(f"p_ref must be >= 1, got {cfg.p_ref}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
-    if cfg.trajectory < 0:
-        raise ConfigError(f"trajectory must be >= 0, got {cfg.trajectory}")
-    if cfg.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
-    if cfg.p < 0:
-        raise ConfigError(f"p must be >= 0, got {cfg.p}")
+    if cfg.output and not Path(cfg.output).parent.is_dir():
+        raise ConfigError(f"output directory {str(Path(cfg.output).parent)!r} does not exist")
 
 
 def resolve_model(cfg: RunConfig):
-    inline = [k for k in ("b2", "sigma", "alpha") if getattr(cfg, k) is not None]
+    inline = {k: getattr(cfg, k) for k in MODEL_KEYS if getattr(cfg, k) is not None}
     if cfg.case and inline:
         raise ConfigError("give either a catalog case or inline parameters, not both")
     if cfg.case:
@@ -231,22 +232,24 @@ def resolve_model(cfg: RunConfig):
         return cfg.case, CASES[cfg.case]
     if not inline:
         raise ConfigError("no model given: use --case or inline --b2/--sigma/--alpha")
-    missing = [k for k in ("b2", "sigma", "alpha") if getattr(cfg, k) is None]
+    missing = [k for k in ("b2", "sigma", "alpha") if k not in inline]
     if missing:
         raise ConfigError(f"inline model is missing {', '.join(missing)}")
     try:
-        model = PrototypeModel(b0=cfg.b0, b1=cfg.b1, b2=cfg.b2, sigma=cfg.sigma,
-                               alpha=cfg.alpha, x0=cfg.x0, horizon=cfg.horizon)
+        model = PrototypeModel(**inline)
     except ValueError as exc:
         raise ConfigError(f"bad model parameters: {exc}")
     return "inline", model
 
 
 def _emit(cfg: RunConfig, text: str) -> None:
-    if cfg.output:
-        Path(cfg.output).write_text(text)
-    else:
+    if not cfg.output:
         sys.stdout.write(text)
+        return
+    try:
+        Path(cfg.output).write_text(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {cfg.output}: {exc.strerror or exc}")
 
 
 def _divergence_dominated(report) -> bool:
@@ -384,38 +387,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="flat key = value config file")
     sub.add_argument("--profile", help="profile section of the config file")
-    sub.add_argument("--case", help="catalog case id (case1..case7)")
-    sub.add_argument("--b0", type=float, help="drift constant term")
-    sub.add_argument("--b1", type=float, help="drift linear coefficient")
-    sub.add_argument("--b2", type=float, help="drift superlinear coefficient")
-    sub.add_argument("--sigma", type=float, help="diffusion coefficient")
-    sub.add_argument("--alpha", type=float, help="diffusion power (> 1)")
-    sub.add_argument("--x0", type=float, help="initial value (default 1)")
-    sub.add_argument("--horizon", type=float, help="time horizon (default 1)")
-    sub.add_argument("--scheme", action="append",
-                     help=f"scheme id, repeatable; one of {', '.join(ALL_SCHEME_IDS)}")
-    sub.add_argument("--test-fn", action="append", dest="test_fn",
-                     help="test function id, repeatable: x, x2, inv_x, exp_neg_x2")
-    sub.add_argument("--p-min", type=int, dest="p_min", help="coarsest level (default 2)")
-    sub.add_argument("--p-max", type=int, dest="p_max", help="finest level (default 7)")
-    sub.add_argument("--p", type=int, help="single level for simulate (default 8)")
-    sub.add_argument("--n", type=int, help="trajectories per level (default 100000)")
-    sub.add_argument("--n0", type=int, help=f"reference trajectories (default {DEFAULT_N0})")
-    sub.add_argument("--p-ref", type=int, dest="p_ref",
-                     help=f"reference level (default {DEFAULT_P_REF})")
-    sub.add_argument("--seed", type=int, help="master seed (default 0)")
-    sub.add_argument("--workers", type=int, help="worker processes (default 1)")
-    sub.add_argument("--output", help="write result here instead of stdout")
-    sub.add_argument("--ref-method", dest="ref_method",
-                     choices=["fine-grid", "analytic"],
-                     help="reference preference (default fine-grid)")
-    sub.add_argument("--cache-dir", dest="cache_dir",
-                     help="reference cache directory (default $EXPSDE_CACHE_DIR)")
-    sub.add_argument("--no-cache", dest="no_cache", action="store_const",
-                     const=True, help="disable the reference cache")
-    sub.add_argument("--milstein-half", dest="milstein_half", action="store_const",
-                     const=True, help="use the half-coefficient Milstein correction")
-    sub.add_argument("--trajectory", type=int, help="trajectory index for simulate")
+    for f in fields(RunConfig):
+        cast = f.metadata["cast"]
+        if cast is _cast_bool:
+            form = {"action": "store_const", "const": True}
+        elif cast is _cast_str_tuple:
+            form = {"action": "append"}
+        else:
+            form = {"type": cast}
+        sub.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                         help=f.metadata["help"], **form)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -5,12 +5,15 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import expsde
-from expsde.cli import CASES, ConfigError, main, parse_config_text
+from expsde import cli
+from expsde.cli import (CASES, ConfigError, RunConfig, build_parser, main,
+                        parse_config_text, resolve_config)
 from expsde.models import PrototypeModel
 from expsde.paths import make_stream
 from expsde.schemes import SchemeKind
@@ -83,6 +86,14 @@ def test_check_inline_model(capsys):
     ["weak-error", "--case", "case1", "--p-min", "-1"],
     ["reference", "--case", "case1", "--n0", "0"],
     ["reference", "--case", "case1", "--p-ref", "0"],
+    ["reference", "--case", "case1", "--x0", "2"],     # case and inline
+    ["check", "--case", "case1", "--b0", "1"],
+    ["check", "--case", "case1", "--b1", "1"],
+    ["check", "--case", "case1", "--horizon", "2"],
+    ["reference", "--case", "case1", "--ref-method", "exact"],
+    ["simulate", "--case", "case1", "--p", "70"],       # beyond MAX_LEVEL
+    ["weak-error", "--case", "case1", "--p-min", "69", "--p-max", "70",
+     "--n", "2", "--n0", "1", "--p-ref", "1"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     rc, _, err = run(argv, capsys)
@@ -92,6 +103,27 @@ def test_usage_errors_exit_2(argv, capsys):
 def test_no_command_exits_2(capsys):
     rc, _, _ = run([], capsys)
     assert rc == 2
+
+def test_level_bound_message(capsys):
+    rc, _, err = run(["simulate", "--case", "case1", "--p", "70"], capsys)
+    assert rc == 2
+    assert err == "error: p must be <= 30, got 70\n"
+
+def test_missing_output_directory_exits_2_before_simulating(tmp_path, capsys,
+                                                            monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("simulated before the output path was checked")
+    monkeypatch.setattr(cli, "build_case_table", no_sweep)
+    rc, _, err = run(["weak-error", "--case", "case1", "--output",
+                      str(tmp_path / "missing" / "x.csv")] + FAST, capsys)
+    assert rc == 2
+    assert "error: output directory" in err
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    rc, _, err = run(["simulate", "--case", "case1", "--p", "3",
+                      "--output", str(tmp_path)], capsys)   # a directory
+    assert rc == 2
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
 
 
 # ------------------------------------------------------------ config files
@@ -126,6 +158,44 @@ def test_unknown_profile_exits_2(tmp_path, capsys):
     rc, _, err = run(["check", "--config", str(cfg), "--profile", "narrow"], capsys)
     assert rc == 2
     assert "narrow" in err
+
+@pytest.mark.parametrize("text, message", [
+    ("case = case1\nx0 = 2\n", "not both"),
+    ("case = case1\nno_cache = true\nno_cache = true\n", "more than once"),
+])
+def test_bad_config_exits_2(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    rc, _, err = run(["check", "--config", str(cfg)], capsys)
+    assert rc == 2
+    assert message in err
+
+# one value per RunConfig field, each different from the default and valid
+OPTION_SAMPLES = {
+    "case": "case2", "b0": "0.5", "b1": "0.25", "b2": "3", "sigma": "0.2",
+    "alpha": "1.75", "x0": "1.5", "horizon": "0.5", "scheme": "ses",
+    "test_fn": "x2", "p_min": "3", "p_max": "9", "p": "5", "n": "300",
+    "n0": "500", "p_ref": "6", "seed": "4", "workers": "2",
+    "output": "out.csv", "ref_method": "analytic", "cache_dir": "cache",
+    "no_cache": "true", "milstein_half": "yes", "trajectory": "7",
+}
+
+@pytest.mark.parametrize("opt", fields(RunConfig), ids=lambda f: f.name)
+def test_every_option_is_a_flag_and_a_config_key(opt, tmp_path):
+    text = OPTION_SAMPLES[opt.name]
+    flag = ["--" + opt.name.replace("_", "-")]
+    if not isinstance(opt.default, bool):
+        flag.append(text)
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{opt.name} = {text}\n")
+    parser = build_parser()
+    for command in ("check", "reference", "weak-error", "compare", "rate",
+                    "simulate"):
+        from_flag = resolve_config(parser.parse_args([command] + flag))
+        from_key = resolve_config(
+            parser.parse_args([command, "--config", str(cfg_file)]))
+        assert from_flag == from_key
+        assert getattr(from_flag, opt.name) != opt.default
 
 def test_config_profile_flag_precedence(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
