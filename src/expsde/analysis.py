@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .montecarlo import AllDivergedError, weak_error_sweep
+from .montecarlo import AllDivergedError, weak_error_sweep, worker_pool
 from .reference import ReferenceValue, UnreliableReferenceError, fine_grid_reference
 from .schemes import SchemeKind
 
@@ -139,7 +139,8 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
 
     cases is a mapping name -> model (or an iterable of such pairs).  The
     fine-grid MC reference is resolved once per (case, test function) and
-    shared across schemes.  A domain failure (unreliable reference, all
+    shared across schemes.  Every ensemble of the table runs on one
+    worker_pool.  A domain failure (unreliable reference, all
     paths diverged, a ValueError from the model or the inputs, too few
     usable rows) is recorded on the affected cells and never aborts the
     rest of the table; any other exception propagates.
@@ -162,34 +163,37 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
     if fit_p_max is not None:
         hi = fit_p_max
     cells = []
-    for name, model in case_items:
-        for f in test_functions:
-            try:
-                ref = fine_grid_reference(model, f, n0=n0, p_ref=p_ref,
-                                          seed=seed, workers=workers,
-                                          cache_dir=cache_dir, use_cache=use_cache)
-                ref_error = None
-            except _CELL_ERRORS as exc:
-                ref = None
-                ref_error = f"reference failed: {exc}"
-            for kind in kinds:
-                if ref is None:
-                    cells.append(CaseCell(name, kind, f, None, None, None, ref_error))
-                    continue
+    with worker_pool(workers):
+        for name, model in case_items:
+            for f in test_functions:
                 try:
-                    table = weak_error_sweep(model, kind, f, list(p_list), n,
-                                             ref, seed, workers=workers,
-                                             milstein_half=milstein_half)
+                    ref = fine_grid_reference(model, f, n0=n0, p_ref=p_ref,
+                                              seed=seed, workers=workers,
+                                              cache_dir=cache_dir,
+                                              use_cache=use_cache)
+                    ref_error = None
                 except _CELL_ERRORS as exc:
-                    cells.append(CaseCell(name, kind, f, ref, None, None, str(exc)))
-                    continue
-                fit = None
-                note = None
-                try:
-                    fit = fit_rate(table, lo, hi)
-                except InsufficientDataError as exc:
-                    note = str(exc)
-                cells.append(CaseCell(name, kind, f, ref, table, fit, note))
+                    ref = None
+                    ref_error = f"reference failed: {exc}"
+                for kind in kinds:
+                    if ref is None:
+                        cells.append(CaseCell(name, kind, f, None, None, None,
+                                              ref_error))
+                        continue
+                    try:
+                        table = weak_error_sweep(model, kind, f, list(p_list), n,
+                                                 ref, seed, workers=workers,
+                                                 milstein_half=milstein_half)
+                    except _CELL_ERRORS as exc:
+                        cells.append(CaseCell(name, kind, f, ref, None, None, str(exc)))
+                        continue
+                    fit = None
+                    note = None
+                    try:
+                        fit = fit_rate(table, lo, hi)
+                    except InsufficientDataError as exc:
+                        note = str(exc)
+                    cells.append(CaseCell(name, kind, f, ref, table, fit, note))
     return CaseTableReport(cells=tuple(cells), p_list=tuple(p_list),
                            fit_range=(lo, hi))
 

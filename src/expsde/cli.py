@@ -29,7 +29,7 @@ from .analysis import (
     write_summary_csv,
 )
 from .models import PrototypeModel, check_hypotheses
-from .montecarlo import TEST_FUNCTIONS, simulate_paths
+from .montecarlo import TEST_FUNCTIONS, simulate_paths, worker_pool
 from .paths import make_stream
 from .reference import (
     DEFAULT_N0,
@@ -304,16 +304,17 @@ def cmd_check(cfg: RunConfig) -> int:
 def cmd_reference(cfg: RunConfig) -> int:
     name, model = resolve_model(cfg)
     lines = []
-    for f in cfg.test_fn:
-        mc = fine_grid_reference(model, f, n0=cfg.n0, p_ref=cfg.p_ref,
-                                 seed=cfg.seed, workers=cfg.workers,
-                                 cache_dir=cfg.cache_dir,
-                                 use_cache=not cfg.no_cache)
-        ref = mc
-        if cfg.ref_method == "analytic":
-            ref = _analytic_or_fallback(model, f, mc)
-        lines.append(f"{name} {f}: {ref.value!r} +- {ref.uncertainty:.3g} "
-                     f"[{ref.method.value}]")
+    with worker_pool(cfg.workers):
+        for f in cfg.test_fn:
+            mc = fine_grid_reference(model, f, n0=cfg.n0, p_ref=cfg.p_ref,
+                                     seed=cfg.seed, workers=cfg.workers,
+                                     cache_dir=cfg.cache_dir,
+                                     use_cache=not cfg.no_cache)
+            ref = mc
+            if cfg.ref_method == "analytic":
+                ref = _analytic_or_fallback(model, f, mc)
+            lines.append(f"{name} {f}: {ref.value!r} +- {ref.uncertainty:.3g} "
+                         f"[{ref.method.value}]")
     _emit(cfg, "\n".join(lines) + "\n")
     return 0
 
@@ -427,7 +428,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error and 0 after --help
+        return exc.code
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
         return 2

@@ -9,6 +9,11 @@ through a pairwise tree with compensated addition.  Neither the
 worker count nor the scheduling order can change any output bit (workers
 only compute whole chunks, which are pure functions of the chunk index).
 
+Workers are spawned processes from one pool per worker_pool entry: a
+command opens it once around all of its ensembles, and the pool is only
+started at the first ensemble with more than one chunk, so a command that
+never needs it spawns nothing.
+
 Diverged trajectories (non-finite state, |state| above the cap, or a
 non-finite test-function value at the terminal, for example 1/x at an
 exact zero) are excluded from means and counted in n_diverged.
@@ -16,6 +21,7 @@ exact zero) are excluded from means and counted in n_diverged.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import multiprocessing
 import warnings
@@ -41,6 +47,7 @@ __all__ = [
     "moment_sweep",
     "exp_moment_estimate",
     "simulate_paths",
+    "worker_pool",
 ]
 
 CHUNK_TRAJECTORIES = 4096
@@ -187,21 +194,68 @@ def _worker(args):
                           with_integral, milstein_half)
 
 
+class _LazyPool:
+    """A spawn pool of `workers` processes, started at the first map that
+    needs it: more than one worker and more than one task."""
+
+    def __init__(self, workers):
+        self.workers = workers
+        self._pool = None
+
+    def imap(self, func, arglist):
+        if self.workers <= 1 or len(arglist) <= 1:
+            return map(func, arglist)
+        if self._pool is None:
+            ctx = multiprocessing.get_context("spawn")
+            self._pool = ctx.Pool(processes=self.workers)
+        return self._pool.imap(func, arglist, chunksize=1)
+
+    def close(self):
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool = None
+
+
+_open_pool = None
+
+
+@contextlib.contextmanager
+def worker_pool(workers):
+    """Share one worker pool among every ensemble run inside the block.
+
+    Reentrant: the outermost entry sets the worker count and nested entries
+    reuse its pool, whatever count they name.  Nothing is spawned until an
+    ensemble with more than one chunk runs with more than one worker.  When
+    the outermost entry exits, also by an exception, its pool is terminated
+    and its processes joined.
+    """
+    global _open_pool
+    if _open_pool is not None:
+        yield _open_pool
+        return
+    _open_pool = pool = _LazyPool(workers)
+    try:
+        yield pool
+    finally:
+        _open_pool = None
+        pool.close()
+
+
 def _iter_chunks(model, kind, p, n, seed, workers, with_integral, milstein_half):
-    """Yield (terminals, diverged, integral) per chunk, in chunk-index order."""
-    starts = list(range(0, n, CHUNK_TRAJECTORIES))
+    """Yield (terminals, diverged, integral) per chunk, in chunk-index order.
+
+    Chunks run on the enclosing worker_pool's pool, or on one opened for
+    this ensemble alone, and in this process when that pool has one worker
+    or there is one chunk.
+    """
     arglist = [
         (model, kind.value, p, seed, s, min(CHUNK_TRAJECTORIES, n - s),
          with_integral, milstein_half)
-        for s in starts
+        for s in range(0, n, CHUNK_TRAJECTORIES)
     ]
-    if workers <= 1 or len(arglist) == 1:
-        for args in arglist:
-            yield _worker(args)
-        return
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=min(workers, len(arglist))) as pool:
-        yield from pool.imap(_worker, arglist, chunksize=1)
+    with worker_pool(workers) as pool:
+        yield from pool.imap(_worker, arglist)
 
 
 def _two_sum(a, b):

@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from scipy import integrate
-
 from .models import PrototypeModel
 from .montecarlo import estimate_many, resolve_test_function
 from .schemes import SchemeKind
@@ -152,6 +150,10 @@ def adaptive_quadrature(smooth, tol: float = DEFAULT_QUAD_TOL,
         pieces.append((upper, 0.0, 0.5 ** (1.0 + c1)))
     else:
         pieces.append((full, 0.5, 1.0))
+    # imported here so that the package, and every spawned worker, loads
+    # without scipy
+    from scipy import integrate
+
     total = 0.0
     bound = 0.0
     with warnings.catch_warnings():

@@ -2,16 +2,18 @@
 and determinism of the emitted CSV."""
 
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import expsde
-from expsde import cli
+from expsde import cli, montecarlo
 from expsde.cli import (CASES, ConfigError, RunConfig, build_parser, main,
                         parse_config_text, resolve_config)
 from expsde.models import PrototypeModel
@@ -94,11 +96,18 @@ def test_check_inline_model(capsys):
     ["simulate", "--case", "case1", "--p", "70"],       # beyond MAX_LEVEL
     ["weak-error", "--case", "case1", "--p-min", "69", "--p-max", "70",
      "--n", "2", "--n0", "1", "--p-ref", "1"],
+    ["check", "--case", "case1", "--n", "abc"],         # argparse type error
+    ["check", "--case", "case1", "--bogus"],            # unknown flag
 ])
 def test_usage_errors_exit_2(argv, capsys):
     rc, _, err = run(argv, capsys)
     assert rc == 2
     assert "error:" in err
+
+def test_help_returns_0(capsys):
+    rc, out, _ = run(["compare", "--help"], capsys)
+    assert rc == 0
+    assert "--workers" in out
 
 def test_no_command_exits_2(capsys):
     rc, _, _ = run([], capsys)
@@ -333,6 +342,50 @@ def test_rate_summary_schema(capsys):
     assert fields[5:] == ["2", "4"]
 
 
+def count_pools(monkeypatch):
+    """Replace the multiprocessing module montecarlo sees with one that
+    records the worker count of every pool built through it."""
+    built = []
+
+    def get_context(method=None):
+        ctx = multiprocessing.get_context(method)
+
+        def pool(*args, **kwargs):
+            built.append(kwargs.get("processes"))
+            return ctx.Pool(*args, **kwargs)
+
+        return SimpleNamespace(Pool=pool)
+
+    monkeypatch.setattr(montecarlo, "multiprocessing",
+                        SimpleNamespace(get_context=get_context))
+    return built
+
+
+def test_compare_builds_one_pool_per_command(tmp_path, monkeypatch, capsys):
+    # 2 schemes x 2 levels, n = 5000 (two chunks): four ensembles that each
+    # need the pool, and one pool for all of them
+    argv = ["compare", "--case", "case1", "--scheme", "exp-es", "--scheme",
+            "ses", "--p-min", "2", "--p-max", "3", "--n", "5000",
+            "--n0", "400", "--p-ref", "5", "--seed", "3", "--no-cache"]
+    one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    assert main(argv + ["--workers", "1", "--output", str(one)]) == 0
+    built = count_pools(monkeypatch)
+    assert main(argv + ["--workers", "2", "--output", str(two)]) == 0
+    capsys.readouterr()
+    assert built == [2]
+    assert two.read_bytes() == one.read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_single_chunk_commands_spawn_nothing(monkeypatch, capsys):
+    built = count_pools(monkeypatch)
+    rc, _, _ = run(["weak-error", "--case", "case1", "--p-min", "2",
+                    "--p-max", "3", "--no-cache", "--workers", "2"] + FAST,
+                   capsys)
+    assert rc == 0
+    assert built == []
+
+
 # --------------------------------------------------------------- reference
 
 def test_reference_cached_rerun_identical(tmp_path, capsys):
@@ -376,6 +429,20 @@ def test_reference_no_closed_form_notice(capsys):
     assert rc == 0
     assert "exp_neg_x2" in out
     assert "no closed form" in err
+
+
+def test_import_leaves_scipy_unloaded():
+    # spawned workers import the package; scipy is only needed by the
+    # quadrature, which no worker runs
+    src = str(Path(expsde.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, expsde; print('scipy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_module_run_with_workers_prints_no_runtime_warning(tmp_path):

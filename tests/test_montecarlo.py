@@ -1,6 +1,7 @@
 """Engine determinism, reduction invariance, and estimator semantics."""
 
 import math
+import multiprocessing
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -21,6 +22,7 @@ from expsde.montecarlo import (
     resolve_test_function,
     simulate_paths,
     weak_error_sweep,
+    worker_pool,
 )
 from expsde.paths import make_stream
 from expsde.reference import fine_grid_reference
@@ -289,3 +291,29 @@ def test_segments_never_hold_two_blocks_of_draws():
     finally:
         tracemalloc.stop()
     assert block_bytes <= peak < 1.5 * block_bytes
+
+
+def test_shared_pool_survives_a_failing_ensemble():
+    # two chunks each, so both ensembles run on the pool
+    kw = dict(n=6000, seed=17)
+    serial = estimate_many(CASE1, SchemeKind.ExpES, ["x"], p=2, workers=1, **kw)
+    with worker_pool(2):
+        with pytest.raises(ValueError):
+            estimate_many(CASE1, SchemeKind.ExpES, ["x"], p=-1, workers=2, **kw)
+        assert len(multiprocessing.active_children()) == 2
+        again = estimate_many(CASE1, SchemeKind.ExpES, ["x"], p=2, workers=2, **kw)
+    assert again == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_pool_exit_by_exception_leaves_no_child():
+    # the pool handle stays referenced, so no garbage collection of the
+    # pool can stand in for the exit
+    with pytest.raises(RuntimeError, match="body failed"):
+        with worker_pool(2) as pool:
+            estimate_many(CASE1, SchemeKind.ExpES, ["x"], p=2, n=6000, seed=1,
+                          workers=2)
+            assert multiprocessing.active_children()
+            raise RuntimeError("body failed")
+    assert multiprocessing.active_children() == []
+
