@@ -52,6 +52,8 @@ __all__ = [
 
 CHUNK_TRAJECTORIES = 4096
 SEGMENT_STEPS = 1024
+TILE_STEPS = 32  # steps per step-major draw tile (see simulate_paths)
+TILE_ROWS = 256  # rows per sub-block of the copy into a tile
 MARKER_FRACTION = 0.01  # a table row renders "-" above this diverged share
 
 
@@ -137,11 +139,17 @@ def simulate_paths(model, kind, p, streams, milstein_half: bool = False):
     streams is one stream covering streams.count trajectories, such as
     make_stream(seed, start, p, count); each path draws from its own row.
     Yields (states, diverged) at every grid time, the start included: 2^p + 1
-    pairs of arrays with one element per row.  A path that diverges keeps
-    its last good state and is flagged from then on.  Draws 2^p standard
-    normals per row in segments of SEGMENT_STEPS, one standard_normals call
-    per segment, and stops early (without drawing the rest) once every path
-    has diverged.
+    pairs of arrays with one element per row.  Every yielded array is fresh
+    and never written again.  A path that diverges keeps its last good state
+    and is flagged from then on.  Draws 2^p standard normals per row in
+    segments of SEGMENT_STEPS, one standard_normals call per segment, and
+    stops early (without drawing the rest) once every path has diverged.
+
+    A segment's (count, steps) block is row-major, so one step's draws lie
+    a whole row apart.  The engine therefore copies TILE_STEPS steps at a
+    time into one reused step-major (TILE_STEPS, count) tile, already
+    multiplied by sqrt(dt), in sub-blocks of TILE_ROWS rows that stay in
+    cache; each step's increments are then one contiguous tile row.
     """
     if p < 0:
         raise ValueError(f"refinement level must be nonnegative, got {p}")
@@ -152,16 +160,25 @@ def simulate_paths(model, kind, p, streams, milstein_half: bool = False):
     x = np.full(count, model.x0, dtype=np.float64)
     div = np.zeros(count, dtype=bool)
     yield x, div
+    tile = np.empty((min(TILE_STEPS, n_steps), count), dtype=np.float64)
     for k0 in range(0, n_steps, SEGMENT_STEPS):
         block = streams.standard_normals(min(SEGMENT_STEPS, n_steps - k0))
-        for j in range(block.shape[1]):
-            if div.all():
-                return
-            cand = step_values(kind, model, x, dt, block[:, j] * sqdt,
-                               milstein_half=milstein_half)
-            div = div | ~alive(cand)
-            x = np.where(div, x, cand)
-            yield x, div
+        for j0 in range(0, block.shape[1], TILE_STEPS):
+            steps = tile[:min(TILE_STEPS, block.shape[1] - j0)]
+            for r0 in range(0, count, TILE_ROWS):
+                rows = slice(r0, r0 + TILE_ROWS)
+                np.multiply(block[rows, j0:j0 + len(steps)].T, sqdt,
+                            out=steps[:, rows])
+            for dw in steps:
+                if div.all():
+                    return
+                cand = step_values(kind, model, x, dt, dw,
+                                   milstein_half=milstein_half)
+                div = div | ~alive(cand)
+                # freeze in the fresh kernel output, never in a yielded x
+                np.copyto(cand, x, where=div)
+                x = cand
+                yield x, div
         # free this segment's draws before the next segment's are made
         del block
 

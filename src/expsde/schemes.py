@@ -16,7 +16,8 @@ the model (through drift_eval), so any model offering those runs.
 
 All power evaluations use IEEE semantics (np.power): fractional powers of a
 negative state are NaN and the trajectory counts as diverged.  A state is
-diverged when non-finite or |value| > DIVERGENCE_CAP; alive is that test.
+alive when |value| <= DIVERGENCE_CAP, one comparison that is false for NaN
+and +-inf; alive is that test, and the only divergence test.
 
 step_values updates an array of states; step updates one state by running
 the same kernel on a one-element array, so a single state stepped
@@ -102,10 +103,9 @@ def _stes_kernel(model, x, dt, dw):
 
 
 def alive(values):
-    """True where a state has not diverged: finite and |value| <= DIVERGENCE_CAP
-    (elementwise for arrays)."""
-    with np.errstate(invalid="ignore"):
-        return np.isfinite(values) & (np.abs(values) <= DIVERGENCE_CAP)
+    """True where a state has not diverged: |value| <= DIVERGENCE_CAP, which
+    is false for NaN and +-inf (elementwise for arrays)."""
+    return np.abs(values) <= DIVERGENCE_CAP
 
 
 def step_values(kind: SchemeKind, model, x, dt, dw, milstein_half: bool = False):

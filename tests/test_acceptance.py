@@ -27,6 +27,8 @@ from expsde.reference import (
 from expsde.schemes import SchemeKind, step, step_values
 from conftest import ACCEPTANCE_FS, MASTER_SEED, ZeroStream, path_terminal
 
+pytestmark = pytest.mark.slow
+
 CASE1 = CASES["case1"]
 CASE2 = CASES["case2"]
 

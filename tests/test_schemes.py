@@ -283,3 +283,20 @@ def test_divergence_cap_flags_huge_values():
     assert not alive(out)
     assert math.isfinite(out)
     assert abs(out) > DIVERGENCE_CAP
+
+
+def test_alive_truth_table():
+    # one comparison decides: NaN of either sign and both infinities fail
+    # it, the cap itself passes, and no floating-point flag is raised
+    above = np.nextafter(DIVERGENCE_CAP, math.inf)
+    table = [(math.nan, False), (-math.nan, False),
+             (math.inf, False), (-math.inf, False),
+             (DIVERGENCE_CAP, True), (-DIVERGENCE_CAP, True),
+             (above, False), (-above, False),
+             (-0.0, True), (5e-324, True)]
+    values = np.array([v for v, _ in table])
+    want = np.array([ok for _, ok in table])
+    with np.errstate(all="raise"):
+        assert np.array_equal(alive(values), want)
+        for value, ok in table:
+            assert bool(alive(value)) is ok
