@@ -133,8 +133,7 @@ def _default_fit_range(p_list):
 def build_case_table(cases, schemes, test_functions, p_list, n, seed,
                      n0=None, p_ref=None, workers: int = 1, cache_dir=None,
                      use_cache: bool = True, fit_p_min: Optional[int] = None,
-                     fit_p_max: Optional[int] = None,
-                     milstein_half: bool = False) -> CaseTableReport:
+                     fit_p_max: Optional[int] = None) -> CaseTableReport:
     """One weak-error sweep plus rate fit per (case, scheme, test function).
 
     cases is a mapping name -> model (or an iterable of such pairs).  The
@@ -182,8 +181,7 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
                         continue
                     try:
                         table = weak_error_sweep(model, kind, f, list(p_list), n,
-                                                 ref, seed, workers=workers,
-                                                 milstein_half=milstein_half)
+                                                 ref, seed, workers=workers)
                     except _CELL_ERRORS as exc:
                         cells.append(CaseCell(name, kind, f, ref, None, None, str(exc)))
                         continue

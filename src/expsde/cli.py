@@ -15,7 +15,7 @@ error.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -123,8 +123,6 @@ class RunConfig:
     cache_dir: Optional[str] = _opt(None, str,
                                     "reference cache directory (default $EXPSDE_CACHE_DIR)")
     no_cache: bool = _opt(False, _cast_bool, "disable the reference cache")
-    milstein_half: bool = _opt(False, _cast_bool,
-                               "use the half-coefficient Milstein correction")
     trajectory: int = _opt(0, int, "trajectory index for simulate (default 0)", low=0)
 
 
@@ -242,12 +240,17 @@ def resolve_model(cfg: RunConfig):
     return "inline", model
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+@contextlib.contextmanager
+def _destination(cfg: RunConfig):
+    """The text stream a command writes its result to: stdout, or the
+    --output file, opened on entry; failing to open or write it is a
+    ConfigError."""
     if not cfg.output:
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     try:
-        Path(cfg.output).write_text(text)
+        with open(cfg.output, "w") as fh:
+            yield fh
     except OSError as exc:
         raise ConfigError(f"cannot write {cfg.output}: {exc.strerror or exc}")
 
@@ -272,8 +275,7 @@ def _build_report(cfg: RunConfig, default_schemes):
                               p_list, cfg.n, cfg.seed, n0=cfg.n0,
                               p_ref=cfg.p_ref, workers=cfg.workers,
                               cache_dir=cfg.cache_dir,
-                              use_cache=not cfg.no_cache,
-                              milstein_half=cfg.milstein_half)
+                              use_cache=not cfg.no_cache)
     for cell in report.cells:
         if cell.error:
             print(f"warning: {cell.case}/{cell.scheme.value}/{cell.test_fn}: "
@@ -315,7 +317,8 @@ def cmd_reference(cfg: RunConfig) -> int:
                 ref = _analytic_or_fallback(model, f, mc)
             lines.append(f"{name} {f}: {ref.value!r} +- {ref.uncertainty:.3g} "
                          f"[{ref.method.value}]")
-    _emit(cfg, "\n".join(lines) + "\n")
+    with _destination(cfg) as out:
+        out.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -338,23 +341,22 @@ def _analytic_or_fallback(model, f, mc):
 
 def cmd_weak_error(cfg: RunConfig) -> int:
     report = _build_report(cfg, default_schemes=("exp-es",))
-    buf = io.StringIO()
-    write_detail_csv(report, buf)
-    _emit(cfg, buf.getvalue())
+    with _destination(cfg) as out:
+        write_detail_csv(report, out)
     return 1 if _divergence_dominated(report) else 0
 
 
 def cmd_compare(cfg: RunConfig) -> int:
     report = _build_report(cfg, default_schemes=COMPARE_SCHEMES)
-    _emit(cfg, render_compare_csv(report))
+    with _destination(cfg) as out:
+        out.write(render_compare_csv(report))
     return 1 if _divergence_dominated(report) else 0
 
 
 def cmd_rate(cfg: RunConfig) -> int:
     report = _build_report(cfg, default_schemes=("exp-es",))
-    buf = io.StringIO()
-    write_summary_csv(report, buf)
-    _emit(cfg, buf.getvalue())
+    with _destination(cfg) as out:
+        write_summary_csv(report, out)
     return 1 if _divergence_dominated(report) else 0
 
 
@@ -365,17 +367,17 @@ def cmd_simulate(cfg: RunConfig) -> int:
         raise ConfigError("simulate takes exactly one scheme")
     kind = SchemeKind.from_id(schemes[0])
     dt = model.horizon / (1 << cfg.p)
-    lines = ["t,value"]
     diverged_at = None
-    stream = make_stream(cfg.seed, cfg.trajectory, cfg.p)
-    paths = simulate_paths(model, kind, cfg.p, stream,
-                           milstein_half=cfg.milstein_half)
-    for k, (x, div) in enumerate(paths):
-        if div[0]:
-            diverged_at = k * dt
-            break
-        lines.append(f"{k * dt!r},{float(x[0])!r}")
-    _emit(cfg, "\n".join(lines) + "\n")
+    paths = simulate_paths(model, kind, cfg.p,
+                           make_stream(cfg.seed, cfg.trajectory, cfg.p))
+    # one row at a time: a path at level p has 2^p + 1 of them
+    with _destination(cfg) as out:
+        out.write("t,value\n")
+        for k, (x, div) in enumerate(paths):
+            if div[0]:
+                diverged_at = k * dt
+                break
+            out.write(f"{k * dt!r},{float(x[0])!r}\n")
     if diverged_at is not None:
         print(f"warning: {name}/{kind.value} path diverged at t={diverged_at:g}",
               file=sys.stderr)

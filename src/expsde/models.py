@@ -28,6 +28,7 @@ __all__ = [
     "drift_eval",
     "kappa",
     "check_hypotheses",
+    "exp_moment_bound",
 ]
 
 
@@ -253,6 +254,22 @@ def check_hypotheses(model) -> HypothesisReport:
     if isinstance(model, GeneralDriftModel):
         return _check_general(model)
     return _check_prototype(model)
+
+
+def exp_moment_bound(model) -> float:
+    """Largest mu with a provably finite exponential moment of the path
+    integral of X^(2 alpha - 2).  B2 is the prototype's b2 or a general
+    drift's growth.B2, without which InsufficientMetadataError is raised."""
+    if isinstance(model, GeneralDriftModel):
+        if model.growth is None:
+            raise InsufficientMetadataError(["growth.B2"])
+        b2 = model.growth.B2
+    else:
+        b2 = model.b2
+    s2 = model.sigma * model.sigma
+    if model.b_at_zero == 0.0:
+        return (s2 + 2.0 * b2) ** 2 / (8.0 * s2)
+    return b2 * s2
 
 
 def _check_prototype(model: PrototypeModel) -> HypothesisReport:

@@ -24,15 +24,16 @@ from __future__ import annotations
 import contextlib
 import math
 import multiprocessing
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .models import GeneralDriftModel, InsufficientMetadataError, check_hypotheses
+from .models import check_hypotheses, exp_moment_bound
 from .paths import make_stream
-from .schemes import SchemeKind, alive, step_values
+from .schemes import alive, step_values
 
 __all__ = [
     "Estimate",
@@ -132,7 +133,7 @@ def resolve_test_function(f):
 
 # ------------------------------------------------------------------ engine
 
-def simulate_paths(model, kind, p, streams, milstein_half: bool = False):
+def simulate_paths(model, kind, p, streams):
     """Step one path per row of streams over the uniform 2^p grid of the
     horizon.
 
@@ -172,8 +173,7 @@ def simulate_paths(model, kind, p, streams, milstein_half: bool = False):
             for dw in steps:
                 if div.all():
                     return
-                cand = step_values(kind, model, x, dt, dw,
-                                   milstein_half=milstein_half)
+                cand = step_values(kind, model, x, dt, dw)
                 div = div | ~alive(cand)
                 # freeze in the fresh kernel output, never in a yielded x
                 np.copyto(cand, x, where=div)
@@ -183,40 +183,48 @@ def simulate_paths(model, kind, p, streams, milstein_half: bool = False):
         del block
 
 
-def _chunk_payload(model, kind, p, seed, start, count, with_integral, milstein_half):
-    """Simulate trajectories [start, start+count) at level p.
+def _chunk_payload(model, kind, p, seed, start, count, observe):
+    """Simulate trajectories [start, start+count) at level p and return
+    observe(model, p, paths), a path observable: a module-level function,
+    so that a worker can receive it, reducing the (states, diverged) pairs
+    of simulate_paths to (one value per path, final diverged mask).  Pure
+    function of its arguments."""
+    paths = simulate_paths(model, kind, p, make_stream(seed, start, p, count))
+    return observe(model, p, paths)
 
-    Returns (terminal values, diverged mask, path integral of X^(2a-2) by
-    left Riemann sum or None).  Pure function of its arguments.
-    """
+
+def _terminal(model, p, paths):
+    """The last state of each path."""
+    for x, div in paths:
+        pass
+    return x, div
+
+
+def _riemann_integral(model, p, paths):
+    """The left-endpoint Riemann sum of X^(2 alpha - 2) along each path; a
+    frozen path adds nothing more."""
     dt = model.horizon / (1 << p)
     power = 2.0 * model.alpha - 2.0
-    integral = np.zeros(count, dtype=np.float64) if with_integral else None
-    stream = make_stream(seed, start, p, count)
-    prev = None
-    for x, div in simulate_paths(model, kind, p, stream, milstein_half):
-        if with_integral and prev is not None:
-            # left endpoint: the state before each step, unless frozen
-            px, pdiv = prev
-            with np.errstate(over="ignore", invalid="ignore"):
-                contrib = np.power(px, power) * dt
-            integral = np.where(pdiv, integral, integral + contrib)
-        prev = x, div
-    return x, div, integral
+    px, pdiv = next(paths)
+    integral = np.zeros(len(px), dtype=np.float64)
+    for x, div in paths:
+        with np.errstate(over="ignore", invalid="ignore"):
+            contrib = np.power(px, power) * dt
+        integral = np.where(pdiv, integral, integral + contrib)
+        px, pdiv = x, div
+    return integral, pdiv
 
 
 def _worker(args):
-    (model, kind_value, p, seed, start, count, with_integral, milstein_half) = args
-    return _chunk_payload(model, SchemeKind(kind_value), p, seed, start, count,
-                          with_integral, milstein_half)
+    return _chunk_payload(*args)
 
 
 class _LazyPool:
-    """A spawn pool of `workers` processes, started at the first map that
-    needs it: more than one worker and more than one task."""
+    """A spawn pool of `workers` processes, at most one per CPU, started at
+    the first map with more than one worker and more than one task."""
 
     def __init__(self, workers):
-        self.workers = workers
+        self.workers = min(workers, os.cpu_count() or 1)
         self._pool = None
 
     def imap(self, func, arglist):
@@ -257,22 +265,6 @@ def worker_pool(workers):
     finally:
         _open_pool = None
         pool.close()
-
-
-def _iter_chunks(model, kind, p, n, seed, workers, with_integral, milstein_half):
-    """Yield (terminals, diverged, integral) per chunk, in chunk-index order.
-
-    Chunks run on the enclosing worker_pool's pool, or on one opened for
-    this ensemble alone, and in this process when that pool has one worker
-    or there is one chunk.
-    """
-    arglist = [
-        (model, kind.value, p, seed, s, min(CHUNK_TRAJECTORIES, n - s),
-         with_integral, milstein_half)
-        for s in range(0, n, CHUNK_TRAJECTORIES)
-    ]
-    with worker_pool(workers) as pool:
-        yield from pool.imap(_worker, arglist)
 
 
 def _two_sum(a, b):
@@ -317,44 +309,56 @@ def _assemble(sums, sumsqs, n_eff, n_div):
     return Estimate(mean=mean, stderr=stderr, n_effective=n_eff, n_diverged=n_div)
 
 
-def estimate_many(model, kind, fs, p, n, seed, workers: int = 1,
-                  milstein_half: bool = False):
+def _estimate(model, kind, fs, p, n, seed, workers, observe):
+    """One Estimate per test function in fs, each applied in this process
+    to observe's per-path values of one shared n-path ensemble.  A path
+    counts as diverged for f when it diverged or f of its value is not
+    finite.
+
+    Chunks run on the enclosing worker_pool's pool, or on one opened for
+    this ensemble alone, and in this process when that pool has one worker
+    or there is one chunk; they are reduced in chunk-index order.
+    """
+    if n < 1:
+        raise ValueError(f"need at least one trajectory, got n={n}")
+    funcs = [resolve_test_function(f) for f in fs]
+    per_f = [([], [], 0, 0) for _ in funcs]  # sums, sumsqs, n_eff, n_div
+    arglist = [(model, kind, p, seed, s, min(CHUNK_TRAJECTORIES, n - s), observe)
+               for s in range(0, n, CHUNK_TRAJECTORIES)]
+    with worker_pool(workers) as pool:
+        for values, div in pool.imap(_worker, arglist):
+            for idx, func in enumerate(funcs):
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    vals = np.asarray(func(values), dtype=np.float64)
+                good = ~div & np.isfinite(vals)
+                sums, sumsqs, n_eff, n_div = per_f[idx]
+                safe = np.where(good, vals, 0.0)
+                with np.errstate(over="ignore"):
+                    sums.append(float(np.sum(safe)))
+                    sumsqs.append(float(np.sum(safe * safe)))
+                per_f[idx] = (sums, sumsqs,
+                              n_eff + int(good.sum()),
+                              n_div + int((~good).sum()))
+    return [_assemble(*acc) for acc in per_f]
+
+
+def estimate_many(model, kind, fs, p, n, seed, workers: int = 1):
     """Estimate E[f(X_T)] for several test functions on one shared ensemble.
 
     Returns one Estimate per entry of fs.  Divergence is assessed per test
     function (a terminal that is fine for f(x)=x may still produce a
     non-finite 1/x).
     """
-    if n < 1:
-        raise ValueError(f"need at least one trajectory, got n={n}")
-    funcs = [resolve_test_function(f) for f in fs]
-    per_f = [([], [], 0, 0) for _ in funcs]  # sums, sumsqs, n_eff, n_div
-    for terminals, div, _ in _iter_chunks(model, kind, p, n, seed, workers,
-                                          False, milstein_half):
-        for idx, func in enumerate(funcs):
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                vals = np.asarray(func(terminals), dtype=np.float64)
-            good = ~div & np.isfinite(vals)
-            sums, sumsqs, n_eff, n_div = per_f[idx]
-            safe = np.where(good, vals, 0.0)
-            with np.errstate(over="ignore"):
-                sums.append(float(np.sum(safe)))
-                sumsqs.append(float(np.sum(safe * safe)))
-            per_f[idx] = (sums, sumsqs,
-                          n_eff + int(good.sum()),
-                          n_div + int((~good).sum()))
-    return [_assemble(*acc) for acc in per_f]
+    return _estimate(model, kind, fs, p, n, seed, workers, _terminal)
 
 
-def estimate_expectation(model, kind, f, p, n, seed, workers: int = 1,
-                         milstein_half: bool = False) -> Estimate:
+def estimate_expectation(model, kind, f, p, n, seed, workers: int = 1) -> Estimate:
     """Mean and stderr of f over the non-diverged terminals of an n-path
     ensemble at refinement level p.  Raises AllDivergedError if nothing
     survives."""
     if n < 2:
         raise ValueError(f"need n >= 2 for a standard error, got n={n}")
-    est = estimate_many(model, kind, [f], p, n, seed, workers=workers,
-                        milstein_half=milstein_half)[0]
+    est = estimate_many(model, kind, [f], p, n, seed, workers=workers)[0]
     if est.n_effective == 0:
         raise AllDivergedError(
             f"all {n} trajectories diverged (scheme {kind.value}, p={p})"
@@ -363,7 +367,7 @@ def estimate_expectation(model, kind, f, p, n, seed, workers: int = 1,
 
 
 def weak_error_sweep(model, kind, f, p_list, n, reference, seed,
-                     workers: int = 1, milstein_half: bool = False) -> WeakErrorTable:
+                     workers: int = 1) -> WeakErrorTable:
     """One weak-error row per refinement level in p_list.
 
     Ensembles at different levels are independent (the level is part of the
@@ -375,8 +379,7 @@ def weak_error_sweep(model, kind, f, p_list, n, reference, seed,
         raise ValueError("p_list must be nonempty")
     rows = []
     for p in p_list:
-        est = estimate_many(model, kind, [f], p, n, seed, workers=workers,
-                            milstein_half=milstein_half)[0]
+        est = estimate_many(model, kind, [f], p, n, seed, workers=workers)[0]
         marked = (est.n_diverged > MARKER_FRACTION * est.n_requested
                   or not math.isfinite(est.mean))
         abs_error = None
@@ -412,28 +415,13 @@ def moment_sweep(model, kind, orders, p, n, seed, workers: int = 1):
     return dict(zip(orders, ests))
 
 
-def _exp_moment_bound(model):
-    """Largest mu with a provably finite exponential moment.  B2 is the
-    prototype's b2 or a general drift's declared growth.B2."""
-    if isinstance(model, GeneralDriftModel):
-        if model.growth is None:
-            raise InsufficientMetadataError(["growth.B2"])
-        b2 = model.growth.B2
-    else:
-        b2 = model.b2
-    s2 = model.sigma * model.sigma
-    if model.b_at_zero == 0.0:
-        return (s2 + 2.0 * b2) ** 2 / (8.0 * s2)
-    return b2 * s2
-
-
 def exp_moment_estimate(model, kind, mu, p, n, seed, workers: int = 1) -> Estimate:
     """Empirical E[exp(mu * I_T)] with I_T the left-endpoint Riemann sum of
     X^(2 alpha - 2) on the simulation grid.  Overflowing trajectories count
     as diverged.  A GeneralDriftModel needs its growth metadata (B2 sets the
     bound checked against mu); without it InsufficientMetadataError is
     raised."""
-    bound = _exp_moment_bound(model)
+    bound = exp_moment_bound(model)
     if mu > bound:
         warnings.warn(
             f"mu={mu} exceeds the exponential-moment bound {bound:.6g} "
@@ -446,16 +434,5 @@ def exp_moment_estimate(model, kind, mu, p, n, seed, workers: int = 1) -> Estima
             "when b(0) > 0",
             stacklevel=2,
         )
-    sums, sumsqs, n_eff, n_div = [], [], 0, 0
-    for _, div, integral in _iter_chunks(model, kind, p, n, seed, workers,
-                                         True, False):
-        with np.errstate(over="ignore", invalid="ignore"):
-            vals = np.exp(mu * integral)
-        good = ~div & np.isfinite(vals)
-        safe = np.where(good, vals, 0.0)
-        with np.errstate(over="ignore"):
-            sums.append(float(np.sum(safe)))
-            sumsqs.append(float(np.sum(safe * safe)))
-        n_eff += int(good.sum())
-        n_div += int((~good).sum())
-    return _assemble(sums, sumsqs, n_eff, n_div)
+    return _estimate(model, kind, [lambda integral: np.exp(mu * integral)],
+                     p, n, seed, workers, _riemann_integral)[0]

@@ -1,12 +1,13 @@
 """One-step update rules: the array kernels and the scalar step.
 
-Six schemes for dX = b(X) dt + sigma X^alpha dW:
+Seven schemes for dX = b(X) dt + sigma X^alpha dW:
 
   ExpES             b(0)dt + X exp{sigma X^(a-1) dW
                                + ((b(X)-b(0))/X - sigma^2/2 X^(2a-2)) dt}
   ExplicitExpEuler  X exp{sigma X^(a-1) dW + (b(X)/X - sigma^2/2 X^(2a-2)) dt}
   SES               |X + b(X) dt + sigma X^a dW|
   SMS               SES plus the Milstein correction inside the bars
+  SMSHalf           SMS with the textbook half correction coefficient
   TES               X + b(X) dt / (1 + |b(X)| dt) + sigma X^a dW
   STES              X + inc/(1 + inc^2) * 1{|X| < exp(sqrt|ln dt|)},
                     inc = b(X) dt + sigma X^a dW
@@ -44,6 +45,7 @@ class SchemeKind(enum.Enum):
     ExplicitExpEuler = "explicit-exp-euler"
     SES = "ses"
     SMS = "sms"
+    SMSHalf = "sms-half"
     TES = "tes"
     STES = "stes"
 
@@ -77,13 +79,13 @@ def _exp_kernel(model, x, dt, dw, shift_b0):
     return out
 
 
-def _ses_kernel(model, x, dt, dw, milstein=False, milstein_half=False):
+def _ses_kernel(model, x, dt, dw, milstein=None):
+    """SES, or with milstein a factor the Milstein correction coefficient
+    alpha*sigma^2 is scaled by (1.0 for sms, 0.5 for sms-half)."""
     with np.errstate(over="ignore", invalid="ignore"):
         inner = x + drift_eval(model, x) * dt + model.sigma * np.power(x, model.alpha) * dw
-        if milstein:
-            coeff = model.alpha * model.sigma * model.sigma
-            if milstein_half:
-                coeff *= 0.5
+        if milstein is not None:
+            coeff = (model.alpha * model.sigma * model.sigma) * milstein
             inner = inner + coeff * np.power(x, 2.0 * model.alpha - 1.0) * (dw * dw - dt)
         return np.abs(inner)
 
@@ -108,7 +110,7 @@ def alive(values):
     return np.abs(values) <= DIVERGENCE_CAP
 
 
-def step_values(kind: SchemeKind, model, x, dt, dw, milstein_half: bool = False):
+def step_values(kind: SchemeKind, model, x, dt, dw):
     """Apply one update of the chosen scheme to an array of states."""
     if kind is SchemeKind.ExpES:
         return _exp_kernel(model, x, dt, dw, shift_b0=True)
@@ -117,7 +119,9 @@ def step_values(kind: SchemeKind, model, x, dt, dw, milstein_half: bool = False)
     if kind is SchemeKind.SES:
         return _ses_kernel(model, x, dt, dw)
     if kind is SchemeKind.SMS:
-        return _ses_kernel(model, x, dt, dw, milstein=True, milstein_half=milstein_half)
+        return _ses_kernel(model, x, dt, dw, milstein=1.0)
+    if kind is SchemeKind.SMSHalf:
+        return _ses_kernel(model, x, dt, dw, milstein=0.5)
     if kind is SchemeKind.TES:
         return _tes_kernel(model, x, dt, dw)
     if kind is SchemeKind.STES:
@@ -127,8 +131,7 @@ def step_values(kind: SchemeKind, model, x, dt, dw, milstein_half: bool = False)
 
 # ------------------------------------------------------------- scalar step
 
-def step(kind: SchemeKind, model, x: float, dt: float, dw: float,
-         milstein_half: bool = False) -> float:
+def step(kind: SchemeKind, model, x: float, dt: float, dw: float) -> float:
     """One update of the chosen scheme from the single state x.
 
     Runs the array kernel on one element, so the result equals the matching
@@ -139,7 +142,7 @@ def step(kind: SchemeKind, model, x: float, dt: float, dw: float,
 
     exp-es exceeds b(0)*dt for any finite increment.  sms uses the
     correction coefficient alpha*sigma^2 (the form the benchmark tables were
-    produced with); milstein_half=True selects the textbook alpha*sigma^2/2.
+    produced with); sms-half uses the textbook alpha*sigma^2/2.
     tes divides the drift update by 1 + |b(X)| dt; stes tames the whole
     increment by 1 + inc^2 and gates it by |X| < exp(sqrt|ln dt|).
     """
@@ -152,5 +155,5 @@ def step(kind: SchemeKind, model, x: float, dt: float, dw: float,
     if kind in (SchemeKind.ExpES, SchemeKind.ExplicitExpEuler) and not x > 0.0:
         raise ValueError(f"scheme requires a positive state, got {x}")
     out = step_values(kind, model, np.full(1, x, dtype=np.float64), dt,
-                      np.full(1, dw, dtype=np.float64), milstein_half=milstein_half)
+                      np.full(1, dw, dtype=np.float64))
     return float(out[0])

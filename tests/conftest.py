@@ -44,10 +44,10 @@ class ZeroStream:
         return np.zeros((1, int(n)))
 
 
-def path_terminal(model, kind, p, stream, milstein_half=False):
+def path_terminal(model, kind, p, stream):
     """(terminal value, diverged flag) of the path drawn from the one-row
     stream; a diverged path reports its last good state."""
-    for x, div in simulate_paths(model, kind, p, stream, milstein_half):
+    for x, div in simulate_paths(model, kind, p, stream):
         pass
     return float(x[0]), bool(div[0])
 

@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -73,6 +74,10 @@ def test_check_inline_model(capsys):
 
 # -------------------------------------------------------------- exit codes
 
+class ConfigText(str):
+    """An argv entry standing for a config file with this text."""
+
+
 @pytest.mark.parametrize("argv", [
     ["rate", "--case", "case1", "--scheme", "bogus"],
     ["check", "--case", "case1", "--b2", "3"],          # case and inline
@@ -98,8 +103,15 @@ def test_check_inline_model(capsys):
      "--n", "2", "--n0", "1", "--p-ref", "1"],
     ["check", "--case", "case1", "--n", "abc"],         # argparse type error
     ["check", "--case", "case1", "--bogus"],            # unknown flag
+    ["simulate", "--case", "case1", "--scheme", "sms", "--milstein-half"],
+    ["simulate", "--config", ConfigText("case = case1\nmilstein_half = yes\n")],
 ])
-def test_usage_errors_exit_2(argv, capsys):
+def test_usage_errors_exit_2(argv, capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    for i, arg in enumerate(argv):
+        if isinstance(arg, ConfigText):
+            cfg.write_text(arg)
+            argv = argv[:i] + [str(cfg)] + argv[i + 1:]
     rc, _, err = run(argv, capsys)
     assert rc == 2
     assert "error:" in err
@@ -186,7 +198,7 @@ OPTION_SAMPLES = {
     "test_fn": "x2", "p_min": "3", "p_max": "9", "p": "5", "n": "300",
     "n0": "500", "p_ref": "6", "seed": "4", "workers": "2",
     "output": "out.csv", "ref_method": "analytic", "cache_dir": "cache",
-    "no_cache": "true", "milstein_half": "yes", "trajectory": "7",
+    "no_cache": "true", "trajectory": "7",
 }
 
 @pytest.mark.parametrize("opt", fields(RunConfig), ids=lambda f: f.name)
@@ -276,6 +288,23 @@ def test_simulate_stops_at_first_diverged_step(tmp_path, capsys):
     assert float(lines[-1].split(",")[1]) < 0.0
 
 
+def test_simulate_streams_its_rows(tmp_path):
+    # 2^17 + 2 rows, about 5 MB of text, are written as they are stepped
+    # and never held in memory together
+    out_file = tmp_path / "path.csv"
+    tracemalloc.start()
+    try:
+        rc = main(["simulate", "--case", "case1", "--p", "17",
+                   "--output", str(out_file)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 4_000_000
+    with out_file.open() as fh:
+        assert sum(1 for _ in fh) == (1 << 17) + 2
+
+
 def test_simulate_two_schemes_exits_2(capsys):
     rc, _, err = run(["simulate", "--case", "case1", "--scheme", "ses",
                       "--scheme", "tes"], capsys)
@@ -342,9 +371,10 @@ def test_rate_summary_schema(capsys):
     assert fields[5:] == ["2", "4"]
 
 
-def count_pools(monkeypatch):
+def count_pools(monkeypatch, inline=False):
     """Replace the multiprocessing module montecarlo sees with one that
-    records the worker count of every pool built through it."""
+    records the worker count of every pool built through it.  An inline
+    pool runs its tasks in this process and starts none."""
     built = []
 
     def get_context(method=None):
@@ -352,6 +382,10 @@ def count_pools(monkeypatch):
 
         def pool(*args, **kwargs):
             built.append(kwargs.get("processes"))
+            if inline:
+                return SimpleNamespace(
+                    imap=lambda func, tasks, chunksize: map(func, tasks),
+                    terminate=lambda: None, join=lambda: None)
             return ctx.Pool(*args, **kwargs)
 
         return SimpleNamespace(Pool=pool)
@@ -374,6 +408,25 @@ def test_compare_builds_one_pool_per_command(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert built == [2]
     assert two.read_bytes() == one.read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cpus,pools", [(3, [3]), (None, [])])
+def test_pool_is_capped_at_the_cpu_count(cpus, pools, tmp_path, monkeypatch,
+                                         capsys):
+    # --workers 5000 asks for one process per worker; an unknown CPU count
+    # counts as one CPU, which runs every chunk in this process
+    argv = ["compare", "--case", "case1", "--scheme", "exp-es", "--p-min",
+            "2", "--p-max", "2", "--n", "5000", "--n0", "400", "--p-ref", "5",
+            "--seed", "3", "--no-cache"]
+    one, many = tmp_path / "w1.csv", tmp_path / "w5000.csv"
+    assert main(argv + ["--workers", "1", "--output", str(one)]) == 0
+    built = count_pools(monkeypatch, inline=True)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert main(argv + ["--workers", "5000", "--output", str(many)]) == 0
+    capsys.readouterr()
+    assert built == pools
+    assert many.read_bytes() == one.read_bytes()
     assert multiprocessing.active_children() == []
 
 

@@ -19,11 +19,8 @@ from expsde.montecarlo import SEGMENT_STEPS, TILE_ROWS, TILE_STEPS, simulate_pat
 from expsde.paths import make_stream
 from expsde.schemes import DIVERGENCE_CAP, SchemeKind, step_values
 
-# every scheme, and sms with the textbook half Milstein coefficient too
-SCHEMES = [(kind, False) for kind in SchemeKind] + [(SchemeKind.SMS, True)]
 
-
-def column_oracle(model, kind, p, streams, milstein_half=False):
+def column_oracle(model, kind, p, streams):
     n_steps = 1 << p
     dt = model.horizon / n_steps
     sqdt = math.sqrt(dt)
@@ -36,8 +33,7 @@ def column_oracle(model, kind, p, streams, milstein_half=False):
         for j in range(block.shape[1]):
             if div.all():
                 return
-            cand = step_values(kind, model, x, dt, block[:, j] * sqdt,
-                               milstein_half=milstein_half)
+            cand = step_values(kind, model, x, dt, block[:, j] * sqdt)
             with np.errstate(invalid="ignore"):
                 ok = np.isfinite(cand) & (np.abs(cand) <= DIVERGENCE_CAP)
             div = div | ~ok
@@ -45,12 +41,12 @@ def column_oracle(model, kind, p, streams, milstein_half=False):
             yield x, div
 
 
-def assert_engines_agree(model, kind, p, seed, start, count, milstein_half=False):
+def assert_engines_agree(model, kind, p, seed, start, count):
     """Run both engines on equal streams; return the oracle's states."""
     want_stream = make_stream(seed, start, p, count)
     got_stream = make_stream(seed, start, p, count)
-    want = list(column_oracle(model, kind, p, want_stream, milstein_half))
-    got = list(simulate_paths(model, kind, p, got_stream, milstein_half))
+    want = list(column_oracle(model, kind, p, want_stream))
+    got = list(simulate_paths(model, kind, p, got_stream))
     assert len(got) == len(want)
     for (gx, gdiv), (wx, wdiv) in zip(got, want):
         assert np.array_equal(gx, wx)
@@ -70,10 +66,9 @@ def test_tile_sizes_cover_the_cases_below():
 @pytest.mark.parametrize("case", ["case2", "case4"])
 @pytest.mark.parametrize("p", [0, 3, 5, 6, 11])
 @pytest.mark.parametrize("count", [1, 300])
-@pytest.mark.parametrize("kind,milstein_half", SCHEMES,
-                         ids=[k.value + ("-half" if h else "") for k, h in SCHEMES])
-def test_tiled_engine_matches_column_oracle(case, p, count, kind, milstein_half):
-    assert_engines_agree(CASES[case], kind, p, 21, 0, count, milstein_half)
+@pytest.mark.parametrize("kind", SchemeKind, ids=lambda k: k.value)
+def test_tiled_engine_matches_column_oracle(case, p, count, kind):
+    assert_engines_agree(CASES[case], kind, p, 21, 0, count)
 
 
 # case2 tes and stes at coarse levels: paths diverge part way through a

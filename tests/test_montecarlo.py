@@ -175,6 +175,12 @@ def test_exp_moment_seed_consistency():
     assert abs(a.mean - b.mean) <= 5.0 * math.hypot(a.stderr, b.stderr)
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_exp_moment_rejects_an_empty_ensemble(n):
+    with pytest.raises(ValueError, match="at least one trajectory"):
+        exp_moment_estimate(CASE1, SchemeKind.ExpES, 0.01, 3, n=n, seed=1)
+
+
 def test_resolve_test_function():
     assert resolve_test_function("x2") is TEST_FUNCTIONS["x2"]
     f = lambda x: x + 1

@@ -28,9 +28,9 @@ fixed = settings(max_examples=300, derandomize=True, deadline=None)
 
 @fixed
 @given(kind=kinds, model=models, x=positive_states, dt=dts, z=draws,
-       half=st.booleans(), size=st.integers(8, 64), where=st.floats(0.0, 1.0),
+       size=st.integers(8, 64), where=st.floats(0.0, 1.0),
        seed=st.integers(0, 2**32 - 1))
-def test_scalar_step_is_one_element_of_the_kernel(kind, model, x, dt, z, half,
+def test_scalar_step_is_one_element_of_the_kernel(kind, model, x, dt, z,
                                                   size, where, seed):
     # (x, dw) sits at a drawn index among random neighbours of a longer array
     rng = np.random.default_rng(seed)
@@ -39,8 +39,8 @@ def test_scalar_step_is_one_element_of_the_kernel(kind, model, x, dt, z, half,
     dws = rng.uniform(-5.0, 5.0, size) * math.sqrt(dt)
     dw = z * math.sqrt(dt)
     xs[i], dws[i] = x, dw
-    one = step(kind, model, x, dt, dw, milstein_half=half)
-    vec = step_values(kind, model, xs, dt, dws, milstein_half=half)[i]
+    one = step(kind, model, x, dt, dw)
+    vec = step_values(kind, model, xs, dt, dws)[i]
     assert one == vec or (math.isnan(one) and math.isnan(vec))
 
 
@@ -53,8 +53,8 @@ def test_exp_es_stays_above_its_floor(model, x, dt, z):
 
 
 @fixed
-@given(kind=st.sampled_from([SchemeKind.SES, SchemeKind.SMS]), model=models,
-       x=states, dt=dts, z=draws, half=st.booleans())
-def test_symmetrized_schemes_are_nonnegative(kind, model, x, dt, z, half):
-    out = step(kind, model, x, dt, z * math.sqrt(dt), milstein_half=half)
+@given(kind=st.sampled_from([SchemeKind.SES, SchemeKind.SMS, SchemeKind.SMSHalf]),
+       model=models, x=states, dt=dts, z=draws)
+def test_symmetrized_schemes_are_nonnegative(kind, model, x, dt, z):
+    out = step(kind, model, x, dt, z * math.sqrt(dt))
     assert math.isnan(out) or out >= 0.0

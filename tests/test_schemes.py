@@ -125,7 +125,7 @@ def test_sms_verbatim_correction():
 
 
 def test_sms_half_variant():
-    out = step(SMS, CASE1, 1.0, 0.25, 0.0, milstein_half=True)
+    out = step(SchemeKind.SMSHalf, CASE1, 1.0, 0.25, 0.0)
     assert out == pytest.approx(0.498125, rel=1e-12)
 
 
