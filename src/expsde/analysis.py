@@ -134,11 +134,13 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
                      n0=None, p_ref=None, workers: int = 1, cache_dir=None,
                      use_cache: bool = True, fit_p_min: Optional[int] = None,
                      fit_p_max: Optional[int] = None) -> CaseTableReport:
-    """One weak-error sweep plus rate fit per (case, scheme, test function).
+    """One weak-error table plus rate fit per (case, scheme, test function).
 
     cases is a mapping name -> model (or an iterable of such pairs).  The
     fine-grid MC reference is resolved once per (case, test function) and
-    shared across schemes.  Every ensemble of the table runs on one
+    shared across schemes, and so is the sweep: one weak_error_sweep steps
+    every scheme of a (case, test function) on one pass of draws per
+    level.  Every ensemble of the table runs on one
     worker_pool.  A domain failure (unreliable reference, all
     paths diverged, a ValueError from the model or the inputs, too few
     usable rows) is recorded on the affected cells and never aborts the
@@ -170,21 +172,27 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
                                               seed=seed, workers=workers,
                                               cache_dir=cache_dir,
                                               use_cache=use_cache)
-                    ref_error = None
                 except _CELL_ERRORS as exc:
-                    ref = None
-                    ref_error = f"reference failed: {exc}"
-                for kind in kinds:
-                    if ref is None:
-                        cells.append(CaseCell(name, kind, f, None, None, None,
-                                              ref_error))
-                        continue
-                    try:
-                        table = weak_error_sweep(model, kind, f, list(p_list), n,
-                                                 ref, seed, workers=workers)
-                    except _CELL_ERRORS as exc:
-                        cells.append(CaseCell(name, kind, f, ref, None, None, str(exc)))
-                        continue
+                    cells += [CaseCell(name, kind, f, None, None, None,
+                                       f"reference failed: {exc}")
+                              for kind in kinds]
+                    continue
+                try:
+                    tables = weak_error_sweep(model, kinds, f, list(p_list), n,
+                                              ref, seed, workers=workers)
+                except _CELL_ERRORS:
+                    # the failure may be one scheme's: sweep each on its own
+                    # so that it lands on that scheme's cell alone
+                    tables = [None] * len(kinds)
+                for kind, table in zip(kinds, tables):
+                    if table is None:
+                        try:
+                            table = weak_error_sweep(model, kind, f, list(p_list),
+                                                     n, ref, seed, workers=workers)
+                        except _CELL_ERRORS as exc:
+                            cells.append(CaseCell(name, kind, f, ref, None, None,
+                                                  str(exc)))
+                            continue
                     fit = None
                     note = None
                     try:

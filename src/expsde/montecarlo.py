@@ -4,7 +4,8 @@ empirical moment checks, deterministically parallel.
 Trajectories are processed in fixed chunks of CHUNK_TRAJECTORIES.  Each
 trajectory draws its normals from its own keyed stream, a row of the one
 stream a chunk draws through (paths.make_stream), stepping is vectorized
-across the chunk, and chunk results are reduced in chunk-index order
+across the chunk, every scheme of an ensemble steps in lockstep on the
+chunk's one pass of draws, and chunk results are reduced in chunk-index order
 through a pairwise tree with compensated addition.  Neither the
 worker count nor the scheduling order can change any output bit (workers
 only compute whole chunks, which are pure functions of the chunk index).
@@ -33,7 +34,7 @@ import numpy as np
 
 from .models import check_hypotheses, exp_moment_bound
 from .paths import make_stream
-from .schemes import alive, step_values
+from .schemes import SchemeKind, alive, step_values
 
 __all__ = [
     "Estimate",
@@ -146,11 +147,29 @@ def simulate_paths(model, kind, p, streams):
     segments of SEGMENT_STEPS, one standard_normals call per segment, and
     stops early (without drawing the rest) once every path has diverged.
 
+    This is the one-kind view of _lockstep_paths, which steps several
+    schemes on the same draws.
+    """
+    for states in _lockstep_paths(model, (kind,), p, streams):
+        yield states[0]
+
+
+def _lockstep_paths(model, kinds, p, streams):
+    """Step one path per row of streams under every scheme in kinds, all on
+    the same increments, each scheme as simulate_paths steps it alone.
+
+    Yields a tuple of (states, diverged) pairs, one per entry of kinds, at
+    every grid time.  A scheme whose paths have all diverged is no longer
+    stepped and keeps yielding its last pair; drawing stops once every
+    scheme is done.  Each scheme thus sees exactly the increments, in the
+    order, that it would see stepped alone.
+
     A segment's (count, steps) block is row-major, so one step's draws lie
     a whole row apart.  The engine therefore copies TILE_STEPS steps at a
     time into one reused step-major (TILE_STEPS, count) tile, already
     multiplied by sqrt(dt), in sub-blocks of TILE_ROWS rows that stay in
-    cache; each step's increments are then one contiguous tile row.
+    cache; each step's increments are then one contiguous tile row, shared
+    by every scheme.
     """
     if p < 0:
         raise ValueError(f"refinement level must be nonnegative, got {p}")
@@ -158,9 +177,10 @@ def simulate_paths(model, kind, p, streams):
     dt = model.horizon / n_steps
     sqdt = math.sqrt(dt)
     count = streams.count
-    x = np.full(count, model.x0, dtype=np.float64)
-    div = np.zeros(count, dtype=bool)
-    yield x, div
+    xs = [np.full(count, model.x0, dtype=np.float64)] * len(kinds)
+    divs = [np.zeros(count, dtype=bool)] * len(kinds)
+    live = range(len(kinds))
+    yield tuple(zip(xs, divs))
     tile = np.empty((min(TILE_STEPS, n_steps), count), dtype=np.float64)
     for k0 in range(0, n_steps, SEGMENT_STEPS):
         block = streams.standard_normals(min(SEGMENT_STEPS, n_steps - k0))
@@ -171,33 +191,37 @@ def simulate_paths(model, kind, p, streams):
                 np.multiply(block[rows, j0:j0 + len(steps)].T, sqdt,
                             out=steps[:, rows])
             for dw in steps:
-                if div.all():
+                live = [i for i in live if not divs[i].all()]
+                if not live:
                     return
-                cand = step_values(kind, model, x, dt, dw)
-                div = div | ~alive(cand)
-                # freeze in the fresh kernel output, never in a yielded x
-                np.copyto(cand, x, where=div)
-                x = cand
-                yield x, div
+                for i in live:
+                    cand = step_values(kinds[i], model, xs[i], dt, dw)
+                    div = divs[i] | ~alive(cand)
+                    # freeze in the fresh kernel output, never in a yielded x
+                    np.copyto(cand, xs[i], where=div)
+                    xs[i], divs[i] = cand, div
+                yield tuple(zip(xs, divs))
         # free this segment's draws before the next segment's are made
         del block
 
 
-def _chunk_payload(model, kind, p, seed, start, count, observe):
-    """Simulate trajectories [start, start+count) at level p and return
-    observe(model, p, paths), a path observable: a module-level function,
-    so that a worker can receive it, reducing the (states, diverged) pairs
-    of simulate_paths to (one value per path, final diverged mask).  Pure
+def _chunk_payload(model, kinds, p, seed, start, count, observe):
+    """Simulate trajectories [start, start+count) at level p under every
+    scheme in kinds, from one stream, and return observe(model, p, paths).
+
+    observe is a path observable: a module-level function, so that a worker
+    can receive it, reducing the lockstep pairs of _lockstep_paths to one
+    (one value per path, final diverged mask) pair per scheme.  Pure
     function of its arguments."""
-    paths = simulate_paths(model, kind, p, make_stream(seed, start, p, count))
+    paths = _lockstep_paths(model, kinds, p, make_stream(seed, start, p, count))
     return observe(model, p, paths)
 
 
 def _terminal(model, p, paths):
     """The last state of each path."""
-    for x, div in paths:
+    for states in paths:
         pass
-    return x, div
+    return states
 
 
 def _riemann_integral(model, p, paths):
@@ -205,14 +229,15 @@ def _riemann_integral(model, p, paths):
     frozen path adds nothing more."""
     dt = model.horizon / (1 << p)
     power = 2.0 * model.alpha - 2.0
-    px, pdiv = next(paths)
-    integral = np.zeros(len(px), dtype=np.float64)
-    for x, div in paths:
-        with np.errstate(over="ignore", invalid="ignore"):
-            contrib = np.power(px, power) * dt
-        integral = np.where(pdiv, integral, integral + contrib)
-        px, pdiv = x, div
-    return integral, pdiv
+    prev = next(paths)
+    integrals = [np.zeros(len(px), dtype=np.float64) for px, _ in prev]
+    for states in paths:
+        for i, (px, pdiv) in enumerate(prev):
+            with np.errstate(over="ignore", invalid="ignore"):
+                contrib = np.power(px, power) * dt
+            integrals[i] = np.where(pdiv, integrals[i], integrals[i] + contrib)
+        prev = states
+    return [(integral, pdiv) for integral, (_, pdiv) in zip(integrals, prev)]
 
 
 def _worker(args):
@@ -309,11 +334,19 @@ def _assemble(sums, sumsqs, n_eff, n_div):
     return Estimate(mean=mean, stderr=stderr, n_effective=n_eff, n_diverged=n_div)
 
 
-def _estimate(model, kind, fs, p, n, seed, workers, observe):
-    """One Estimate per test function in fs, each applied in this process
-    to observe's per-path values of one shared n-path ensemble.  A path
-    counts as diverged for f when it diverged or f of its value is not
-    finite.
+def _scheme_kinds(kind):
+    """kind as a tuple of SchemeKinds: one kind, or a nonempty sequence."""
+    kinds = (kind,) if isinstance(kind, SchemeKind) else tuple(kind)
+    if not kinds:
+        raise ValueError("need at least one scheme")
+    return kinds
+
+
+def _estimate(model, kinds, fs, p, n, seed, workers, observe):
+    """One Estimate per (scheme, test function), kind-major, each applied in
+    this process to observe's per-path values of one n-path ensemble that
+    every scheme in kinds steps on the same draws.  A path counts as
+    diverged for f when it diverged or f of its value is not finite.
 
     Chunks run on the enclosing worker_pool's pool, or on one opened for
     this ensemble alone, and in this process when that pool has one worker
@@ -322,34 +355,45 @@ def _estimate(model, kind, fs, p, n, seed, workers, observe):
     if n < 1:
         raise ValueError(f"need at least one trajectory, got n={n}")
     funcs = [resolve_test_function(f) for f in fs]
-    per_f = [([], [], 0, 0) for _ in funcs]  # sums, sumsqs, n_eff, n_div
-    arglist = [(model, kind, p, seed, s, min(CHUNK_TRAJECTORIES, n - s), observe)
+    if not funcs:
+        raise ValueError("need at least one test function")
+    # sums, sumsqs, n_eff, n_div per (scheme, test function)
+    acc = [[([], [], 0, 0) for _ in funcs] for _ in kinds]
+    arglist = [(model, kinds, p, seed, s, min(CHUNK_TRAJECTORIES, n - s), observe)
                for s in range(0, n, CHUNK_TRAJECTORIES)]
     with worker_pool(workers) as pool:
-        for values, div in pool.imap(_worker, arglist):
-            for idx, func in enumerate(funcs):
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    vals = np.asarray(func(values), dtype=np.float64)
-                good = ~div & np.isfinite(vals)
-                sums, sumsqs, n_eff, n_div = per_f[idx]
-                safe = np.where(good, vals, 0.0)
-                with np.errstate(over="ignore"):
-                    sums.append(float(np.sum(safe)))
-                    sumsqs.append(float(np.sum(safe * safe)))
-                per_f[idx] = (sums, sumsqs,
-                              n_eff + int(good.sum()),
-                              n_div + int((~good).sum()))
-    return [_assemble(*acc) for acc in per_f]
+        for observed in pool.imap(_worker, arglist):
+            for per_f, (values, div) in zip(acc, observed):
+                for idx, func in enumerate(funcs):
+                    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                        vals = np.asarray(func(values), dtype=np.float64)
+                    good = ~div & np.isfinite(vals)
+                    sums, sumsqs, n_eff, n_div = per_f[idx]
+                    safe = np.where(good, vals, 0.0)
+                    with np.errstate(over="ignore"):
+                        sums.append(float(np.sum(safe)))
+                        sumsqs.append(float(np.sum(safe * safe)))
+                    per_f[idx] = (sums, sumsqs,
+                                  n_eff + int(good.sum()),
+                                  n_div + int((~good).sum()))
+    return [_assemble(*f_acc) for per_f in acc for f_acc in per_f]
 
 
 def estimate_many(model, kind, fs, p, n, seed, workers: int = 1):
     """Estimate E[f(X_T)] for several test functions on one shared ensemble.
 
-    Returns one Estimate per entry of fs.  Divergence is assessed per test
-    function (a terminal that is fine for f(x)=x may still produce a
-    non-finite 1/x).
+    kind is one SchemeKind or a nonempty sequence of them.  Every scheme
+    steps the same n paths on the same increments, drawn once: a chunk's
+    stream is made and read once for all of them.  Returns a flat list with
+    one Estimate per (kind, f), kind-major; for one kind, one per entry of
+    fs.  Each Estimate equals, bit for bit, the one a call with that kind
+    alone gives.  Divergence is assessed per scheme and test function (a
+    terminal that is fine for f(x)=x may still produce a non-finite 1/x).
+    Raises ValueError, before simulating anything, when fs or the kind
+    sequence is empty.
     """
-    return _estimate(model, kind, fs, p, n, seed, workers, _terminal)
+    return _estimate(model, _scheme_kinds(kind), fs, p, n, seed, workers,
+                     _terminal)
 
 
 def estimate_expectation(model, kind, f, p, n, seed, workers: int = 1) -> Estimate:
@@ -367,33 +411,40 @@ def estimate_expectation(model, kind, f, p, n, seed, workers: int = 1) -> Estima
 
 
 def weak_error_sweep(model, kind, f, p_list, n, reference, seed,
-                     workers: int = 1) -> WeakErrorTable:
+                     workers: int = 1):
     """One weak-error row per refinement level in p_list.
 
-    Ensembles at different levels are independent (the level is part of the
-    stream key).  A row is marked diverged when more than MARKER_FRACTION
-    of its trajectories diverged or its mean is non-finite; the sweep never
-    aborts on a bad row.
+    kind is one SchemeKind, giving one WeakErrorTable, or a nonempty
+    sequence of them, giving a list with one table per entry, each equal to
+    the table of that kind swept alone.  At each level every scheme steps
+    the same paths on the same increments, drawn once (see estimate_many);
+    ensembles at different levels are independent (the level is part of
+    the stream key).  A row is marked diverged when more than
+    MARKER_FRACTION of its trajectories diverged or its mean is non-finite;
+    the sweep never aborts on a bad row.
     """
     if not p_list:
         raise ValueError("p_list must be nonempty")
-    rows = []
+    kinds = _scheme_kinds(kind)
+    rows = [[] for _ in kinds]
     for p in p_list:
-        est = estimate_many(model, kind, [f], p, n, seed, workers=workers)[0]
-        marked = (est.n_diverged > MARKER_FRACTION * est.n_requested
-                  or not math.isfinite(est.mean))
-        abs_error = None
-        if not marked:
-            abs_error = abs(est.mean - reference.value)
-        rows.append(WeakErrorRow(
-            p=p,
-            dt=model.horizon / (1 << p),
-            estimate=est,
-            reference=reference,
-            abs_error=abs_error,
-            diverged=marked,
-        ))
-    return WeakErrorTable(rows=tuple(rows))
+        ests = estimate_many(model, kinds, [f], p, n, seed, workers=workers)
+        for kind_rows, est in zip(rows, ests):
+            marked = (est.n_diverged > MARKER_FRACTION * est.n_requested
+                      or not math.isfinite(est.mean))
+            abs_error = None
+            if not marked:
+                abs_error = abs(est.mean - reference.value)
+            kind_rows.append(WeakErrorRow(
+                p=p,
+                dt=model.horizon / (1 << p),
+                estimate=est,
+                reference=reference,
+                abs_error=abs_error,
+                diverged=marked,
+            ))
+    tables = [WeakErrorTable(rows=tuple(r)) for r in rows]
+    return tables[0] if isinstance(kind, SchemeKind) else tables
 
 
 def moment_sweep(model, kind, orders, p, n, seed, workers: int = 1):
@@ -434,5 +485,5 @@ def exp_moment_estimate(model, kind, mu, p, n, seed, workers: int = 1) -> Estima
             "when b(0) > 0",
             stacklevel=2,
         )
-    return _estimate(model, kind, [lambda integral: np.exp(mu * integral)],
+    return _estimate(model, (kind,), [lambda integral: np.exp(mu * integral)],
                      p, n, seed, workers, _riemann_integral)[0]

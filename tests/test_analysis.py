@@ -170,6 +170,28 @@ def test_programming_errors_propagate(monkeypatch):
         small_report()
 
 
+def _drift_refusing_negative_states(x):
+    if np.any(x < 0.0):
+        raise ValueError("negative state")
+    return -3.0 * np.power(x, 1.5)
+
+
+def test_one_schemes_failure_lands_on_its_cell_alone():
+    # case 2's drift, refusing the negative states that tes reaches at
+    # coarse steps; exp-es stays positive, so its cell keeps its table
+    model = GeneralDriftModel(drift=_drift_refusing_negative_states,
+                              b_at_zero=0.0, sigma=1.0, alpha=1.25)
+    report = small_report(cases={"refusing": model},
+                          schemes=[SchemeKind.ExpES, SchemeKind.TES])
+    bad = report.cell("refusing", "tes", "x")
+    assert bad.table is None
+    assert "negative state" in bad.error
+    good = report.cell("refusing", "exp-es", "x")
+    assert good.error is None
+    alone = small_report(cases={"refusing": model}, schemes=[SchemeKind.ExpES])
+    assert good == alone.cell("refusing", "exp-es", "x")
+
+
 def test_divergent_rows_leave_fit_note():
     # case 2 tamed-Euler rows at tiny p are all marked, so no fit is possible
     report = small_report(cases={"case2": CASE2}, schemes=[SchemeKind.TES],
