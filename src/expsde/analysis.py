@@ -137,10 +137,11 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
     """One weak-error table plus rate fit per (case, scheme, test function).
 
     cases is a mapping name -> model (or an iterable of such pairs).  The
-    fine-grid MC reference is resolved once per (case, test function) and
-    shared across schemes, and so is the sweep: one weak_error_sweep steps
-    every scheme of a (case, test function) on one pass of draws per
-    level.  Every ensemble of the table runs on one
+    fine-grid MC references of a case are resolved in one call, which
+    simulates one reference ensemble for every test function the cache does
+    not hold; each is shared across schemes, and so is the sweep: one
+    weak_error_sweep steps every scheme of a (case, test function) on one
+    pass of draws per level.  Every ensemble of the table runs on one
     worker_pool.  A domain failure (unreliable reference, all
     paths diverged, a ValueError from the model or the inputs, too few
     usable rows) is recorded on the affected cells and never aborts the
@@ -158,25 +159,32 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
         raise ValueError("p_list must be nonempty")
     case_items = list(dict(cases).items())
     kinds = [SchemeKind.from_id(s) if isinstance(s, str) else s for s in schemes]
+    test_functions = list(test_functions)
     lo, hi = _default_fit_range(p_list)
     if fit_p_min is not None:
         lo = fit_p_min
     if fit_p_max is not None:
         hi = fit_p_max
     cells = []
+    ref_options = dict(n0=n0, p_ref=p_ref, seed=seed, workers=workers,
+                       cache_dir=cache_dir, use_cache=use_cache)
     with worker_pool(workers):
         for name, model in case_items:
-            for f in test_functions:
-                try:
-                    ref = fine_grid_reference(model, f, n0=n0, p_ref=p_ref,
-                                              seed=seed, workers=workers,
-                                              cache_dir=cache_dir,
-                                              use_cache=use_cache)
-                except _CELL_ERRORS as exc:
-                    cells += [CaseCell(name, kind, f, None, None, None,
-                                       f"reference failed: {exc}")
-                              for kind in kinds]
-                    continue
+            try:
+                refs = fine_grid_reference(model, test_functions, **ref_options)
+            except _CELL_ERRORS:
+                # the failure may be one test function's: resolve each on
+                # its own so that it lands on that function's cells alone
+                refs = [None] * len(test_functions)
+            for f, ref in zip(test_functions, refs):
+                if ref is None:
+                    try:
+                        ref = fine_grid_reference(model, f, **ref_options)
+                    except _CELL_ERRORS as exc:
+                        cells += [CaseCell(name, kind, f, None, None, None,
+                                           f"reference failed: {exc}")
+                                  for kind in kinds]
+                        continue
                 try:
                     tables = weak_error_sweep(model, kinds, f, list(p_list), n,
                                               ref, seed, workers=workers)

@@ -82,8 +82,15 @@ class PrototypeModel:
         return self.b0
 
     def drift(self, x):
-        """b(x) = b0 + b1*x - b2*x^(2*alpha-1) on an ndarray of states."""
-        return self.b0 + self.b1 * x - self.b2 * np.power(x, 2.0 * self.alpha - 1.0)
+        """b(x) = b0 + b1*x - b2*x^(2*alpha-1) on an ndarray of states.
+
+        With b1 = 0 the b1*x term is skipped: b0 + 0*x is b0 for every
+        finite x, so the value is the same bit for bit (at x = +-inf it may
+        be infinite where the full sum gives NaN)."""
+        power = self.b2 * np.power(x, 2.0 * self.alpha - 1.0)
+        if self.b1 == 0.0:
+            return self.b0 - power
+        return self.b0 + self.b1 * x - power
 
 
 @dataclass(frozen=True)

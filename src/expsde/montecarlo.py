@@ -34,7 +34,7 @@ import numpy as np
 
 from .models import check_hypotheses, exp_moment_bound
 from .paths import make_stream
-from .schemes import SchemeKind, alive, step_values
+from .schemes import DIVERGENCE_CAP, SchemeKind, alive, step_values
 
 __all__ = [
     "Estimate",
@@ -146,6 +146,8 @@ def simulate_paths(model, kind, p, streams):
     and is flagged from then on.  Draws 2^p standard normals per row in
     segments of SEGMENT_STEPS, one standard_normals call per segment, and
     stops early (without drawing the rest) once every path has diverged.
+    Until a first path diverges a step costs no divergence mask: a max and
+    a min of the new states show that all are alive.
 
     This is the one-kind view of _lockstep_paths, which steps several
     schemes on the same draws.
@@ -170,6 +172,13 @@ def _lockstep_paths(model, kinds, p, streams):
     multiplied by sqrt(dt), in sub-blocks of TILE_ROWS rows that stay in
     cache; each step's increments are then one contiguous tile row, shared
     by every scheme.
+
+    While none of a scheme's paths has diverged, one max and one min of the
+    kernel output decide that every path is still alive (see alive); the
+    step then takes the output as it is, with a fresh all-false mask, and
+    needs no mask, freeze or all() test.  From the first step with a
+    diverged path on, the scheme takes the mask path: it flags the paths
+    that failed alive and freezes them at their last state.
     """
     if p < 0:
         raise ValueError(f"refinement level must be nonnegative, got {p}")
@@ -179,6 +188,7 @@ def _lockstep_paths(model, kinds, p, streams):
     count = streams.count
     xs = [np.full(count, model.x0, dtype=np.float64)] * len(kinds)
     divs = [np.zeros(count, dtype=bool)] * len(kinds)
+    clean = [True] * len(kinds)  # no path of the scheme has diverged yet
     live = range(len(kinds))
     yield tuple(zip(xs, divs))
     tile = np.empty((min(TILE_STEPS, n_steps), count), dtype=np.float64)
@@ -191,11 +201,17 @@ def _lockstep_paths(model, kinds, p, streams):
                 np.multiply(block[rows, j0:j0 + len(steps)].T, sqdt,
                             out=steps[:, rows])
             for dw in steps:
-                live = [i for i in live if not divs[i].all()]
+                live = [i for i in live if clean[i] or not divs[i].all()]
                 if not live:
                     return
                 for i in live:
                     cand = step_values(kinds[i], model, xs[i], dt, dw)
+                    # max and min propagate NaN, which fails both tests
+                    if (clean[i] and cand.max() <= DIVERGENCE_CAP
+                            and cand.min() >= -DIVERGENCE_CAP):
+                        xs[i], divs[i] = cand, np.zeros(count, dtype=bool)
+                        continue
+                    clean[i] = False
                     div = divs[i] | ~alive(cand)
                     # freeze in the fresh kernel output, never in a yielded x
                     np.copyto(cand, xs[i], where=div)
@@ -342,6 +358,14 @@ def _scheme_kinds(kind):
     return kinds
 
 
+def _one_kind(kind):
+    """Reject anything but one SchemeKind, for the APIs that return one
+    result per test function or order."""
+    if not isinstance(kind, SchemeKind):
+        raise TypeError(f"expected one SchemeKind, got {kind!r}; "
+                        "estimate_many takes a sequence of them")
+
+
 def _estimate(model, kinds, fs, p, n, seed, workers, observe):
     """One Estimate per (scheme, test function), kind-major, each applied in
     this process to observe's per-path values of one n-path ensemble that
@@ -399,7 +423,9 @@ def estimate_many(model, kind, fs, p, n, seed, workers: int = 1):
 def estimate_expectation(model, kind, f, p, n, seed, workers: int = 1) -> Estimate:
     """Mean and stderr of f over the non-diverged terminals of an n-path
     ensemble at refinement level p.  Raises AllDivergedError if nothing
-    survives."""
+    survives, and TypeError, before simulating, unless kind is one
+    SchemeKind."""
+    _one_kind(kind)
     if n < 2:
         raise ValueError(f"need n >= 2 for a standard error, got n={n}")
     est = estimate_many(model, kind, [f], p, n, seed, workers=workers)[0]
@@ -452,7 +478,9 @@ def moment_sweep(model, kind, orders, p, n, seed, workers: int = 1):
 
     Warns when an order exceeds the model's largest provably finite moment
     order (the estimate is still computed; blow-up across p is exactly what
-    the caller may be probing)."""
+    the caller may be probing).  Raises TypeError, before simulating,
+    unless kind is one SchemeKind."""
+    _one_kind(kind)
     report = check_hypotheses(model)
     for order in orders:
         if order > report.max_moment_order:
@@ -471,7 +499,9 @@ def exp_moment_estimate(model, kind, mu, p, n, seed, workers: int = 1) -> Estima
     X^(2 alpha - 2) on the simulation grid.  Overflowing trajectories count
     as diverged.  A GeneralDriftModel needs its growth metadata (B2 sets the
     bound checked against mu); without it InsufficientMetadataError is
-    raised."""
+    raised.  Raises TypeError, before simulating, unless kind is one
+    SchemeKind."""
+    _one_kind(kind)
     bound = exp_moment_bound(model)
     if mu > bound:
         warnings.warn(

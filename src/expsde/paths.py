@@ -15,10 +15,14 @@ with a `count` and such a standard_normals(n) method can stand in for a
 stream in the stepper.
 
 Keys are computed in bulk, KEY_BLOCK trajectories per numpy pass
-(philox_keys re-implements the SeedSequence pool hash on uint32 arrays),
-and rows draw through one Philox generator per thread, re-keyed per row
-by assigning its state.  Neither changes a draw: only the per-trajectory
-SeedSequence, Philox and Generator objects are gone.
+(philox_keys re-implements the SeedSequence pool hash on uint32 arrays).
+A stream drawn in one call, such as every chunk of a short path, draws
+all its rows through one Philox generator per thread, re-keyed per row by
+assigning its state.  A stream whose paths resume over several calls (a
+path longer than one draw segment) instead builds one generator per row
+at its first call, keyed through _RowKey without hashing a SeedSequence,
+and later calls draw straight from those.  Neither changes a draw: every
+row draws the values of its own Philox(SeedSequence(...)) generator.
 
 The generator family (Philox via numpy) is fixed per release; changing it
 changes every simulated number.
@@ -131,8 +135,8 @@ def _stream_keys(seed: int, level: int, block: int) -> tuple:
 
 
 class _Generator(threading.local):
-    """The Philox generator streams draw through, one per thread.  Every
-    row's draw first assigns that row's whole state to it."""
+    """The Philox generator single-call streams draw through, one per
+    thread.  Every row's draw first assigns that row's whole state to it."""
 
     def __init__(self):
         self.gen = np.random.Generator(np.random.Philox(0))
@@ -147,20 +151,37 @@ class _Generator(threading.local):
 _SHARED = _Generator()
 
 
+class _RowKey(np.random.bit_generator.ISeedSequence):
+    """A seed sequence that hands Philox one precomputed key: Philox(
+    _RowKey(key)) is the generator Philox(SeedSequence(...)) builds when
+    key is that SeedSequence's generate_state(2, np.uint64), without
+    hashing it again (and cheaper than Philox(key=...))."""
+
+    __slots__ = ("key",)
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return np.array(self.key, dtype=np.uint64)
+
+
 class GaussianStream:
     """Deterministic source of standard normal draws for `count` consecutive
     trajectories, starting at `trajectory`.
 
     Row i of every draw is the stream of trajectory + i alone: its values do
-    not depend on `count` or on the other rows.  A row keeps its generator
-    state between calls while fewer than 2^level draws have been made, the
-    number a path at that level uses.  A call after that replays the row
-    from its key, which gives the same draws at a cost that grows with the
-    counter.
+    not depend on `count` or on the other rows.  A call that leaves the rows
+    fewer than 2^level draws in, the number a path at that level uses,
+    builds one generator per row (once) and later calls continue from
+    them.  A call that reaches 2^level draws ends with them; one after that
+    replays each row from its key, which gives the same draws at a cost
+    that grows with the counter.  A stream whose first call takes all
+    2^level draws never builds per-row generators.
     """
 
     __slots__ = ("seed", "trajectory", "level", "count", "counter",
-                 "_keys", "_states")
+                 "_keys", "_rows")
 
     def __init__(self, seed: int, trajectory: int, level: int, count: int = 1,
                  counter: int = 0):
@@ -181,43 +202,42 @@ class GaussianStream:
             keys += _stream_keys(self.seed, self.level, block)[index:index + take]
             first += take
         self._keys = keys
-        # per-row generator states after `counter` draws, while kept
-        self._states = None
+        # one generator per row, `counter` draws in, while the paths resume
+        self._rows = None
 
     def standard_normals(self, n: int) -> np.ndarray:
         """Draw the next n standard normals of every row, as a fresh
         (count, n) array (consecutive calls concatenate along each row)."""
         n = int(n)
         out = np.empty((self.count, n), dtype=np.float64)
-        shared = _SHARED
-        gen, bitgen = shared.gen, shared.bitgen
         counter = self.counter
         self.counter += n
-        # counter < 2^level: the paths have draws to come, keep the states
-        keep = self.counter.bit_length() <= self.level
-        states = self._states
-        if states is None:
-            # start every row from its key and replay the draws already made
-            fresh = shared.fresh
+        # counter < 2^level: the paths have draws to come
+        resume = self.counter.bit_length() <= self.level
+        rows = self._rows
+        if rows is None and not resume:
+            # start every row from its key on the shared generator and
+            # replay the draws already made
+            shared = _SHARED
+            gen, bitgen, fresh = shared.gen, shared.bitgen, shared.fresh
             fresh_state = fresh["state"]
-            if keep:
-                states = self._states = [None] * self.count
             for i, key in enumerate(self._keys):
                 fresh_state["key"] = key
                 bitgen.state = fresh
                 if counter:
                     gen.standard_normal(counter)
                 gen.standard_normal(out=out[i])
-                if keep:
-                    states[i] = bitgen.state
-        else:
-            for i, state in enumerate(states):
-                bitgen.state = state
-                gen.standard_normal(out=out[i])
-                if keep:
-                    states[i] = bitgen.state
-            if not keep:
-                self._states = None
+            return out
+        if rows is None:
+            rows = self._rows = [np.random.Generator(np.random.Philox(_RowKey(key)))
+                                 for key in self._keys]
+            if counter:
+                for gen in rows:
+                    gen.standard_normal(counter)
+        for gen, row in zip(rows, out):
+            gen.standard_normal(out=row)
+        if not resume:
+            self._rows = None
         return out
 
     def __repr__(self):

@@ -360,38 +360,60 @@ def _cache_store(path: Path, key: str, value: float, uncertainty: float):
 def fine_grid_reference(model, f, n0: int = DEFAULT_N0,
                         p_ref: int = DEFAULT_P_REF, seed: int = 0,
                         workers: int = 1, cache_dir=None,
-                        use_cache: bool = True) -> ReferenceValue:
+                        use_cache: bool = True):
     """Monte Carlo reference: mean of f over n0 exponential-scheme terminals
     at refinement level p_ref, stderr as uncertainty.
 
+    f is one test function (a name or a callable), giving one
+    ReferenceValue, or a nonempty sequence of them, giving a list with one
+    per entry, each equal to the value f alone gives: the terminals do not
+    depend on f, so every entry the cache does not hold is computed from
+    one shared ensemble.
+
     Deterministic in (model, f, n0, p_ref, seed) regardless of worker
-    count.  More than 0.1% diverged trajectories raises
-    UnreliableReferenceError.  Results for named test functions are cached
-    on disk under cache_dir (default: $EXPSDE_CACHE_DIR if set) keyed by
-    the full parameter tuple; a cache hit skips the simulation entirely.
+    count.  More than 0.1% diverged trajectories (for an f, counting its
+    non-finite values) raises UnreliableReferenceError, after the entries
+    before it are cached.  Results for named test functions are cached on
+    disk under cache_dir (default: $EXPSDE_CACHE_DIR if set), one record
+    per (model, f) keyed by the full parameter tuple; a cache hit skips the
+    simulation entirely.
     """
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
     if p_ref < 1:
         raise ValueError(f"p_ref must be >= 1, got {p_ref}")
-    resolve_test_function(f)
-    meta = {"n0": n0, "p_ref": p_ref, "seed": seed, "scheme": SchemeKind.ExpES.value}
+    single = isinstance(f, str) or callable(f)
+    fs = [f] if single else list(f)
+    if not fs:
+        raise ValueError("need at least one test function")
+    for fi in fs:
+        resolve_test_function(fi)
     cdir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
-    key = None
-    if (use_cache and cdir is not None and isinstance(f, str)
-            and isinstance(model, PrototypeModel)):
-        key = _cache_key(model, f, n0, p_ref, seed)
-        hit = _cache_lookup(cdir / CACHE_FILENAME, key)
-        if hit is not None:
-            return ReferenceValue(hit[0], ReferenceMethod.FineGridMC, hit[1], meta)
-    est = estimate_many(model, SchemeKind.ExpES, [f], p=p_ref, n=n0,
-                        seed=seed, workers=workers)[0]
-    if est.n_diverged > MAX_REF_DIVERGED_FRACTION * est.n_requested:
-        raise UnreliableReferenceError(
-            f"{est.n_diverged} of {est.n_requested} reference trajectories "
-            f"diverged (> {MAX_REF_DIVERGED_FRACTION:.1%}); reference untrustworthy"
-        )
-    ref = ReferenceValue(est.mean, ReferenceMethod.FineGridMC, est.stderr, meta)
-    if key is not None:
-        _cache_store(cdir / CACHE_FILENAME, key, ref.value, ref.uncertainty)
-    return ref
+    cached = use_cache and cdir is not None and isinstance(model, PrototypeModel)
+    keys = [_cache_key(model, fi, n0, p_ref, seed)
+            if cached and isinstance(fi, str) else None for fi in fs]
+
+    def reference_value(value, uncertainty):
+        meta = {"n0": n0, "p_ref": p_ref, "seed": seed,
+                "scheme": SchemeKind.ExpES.value}
+        return ReferenceValue(value, ReferenceMethod.FineGridMC, uncertainty, meta)
+
+    refs = []
+    for key in keys:
+        hit = None if key is None else _cache_lookup(cdir / CACHE_FILENAME, key)
+        refs.append(None if hit is None else reference_value(*hit))
+    misses = [i for i, ref in enumerate(refs) if ref is None]
+    if misses:
+        ests = estimate_many(model, SchemeKind.ExpES, [fs[i] for i in misses],
+                             p=p_ref, n=n0, seed=seed, workers=workers)
+        for i, est in zip(misses, ests):
+            if est.n_diverged > MAX_REF_DIVERGED_FRACTION * est.n_requested:
+                raise UnreliableReferenceError(
+                    f"{est.n_diverged} of {est.n_requested} reference trajectories "
+                    f"diverged (> {MAX_REF_DIVERGED_FRACTION:.1%}); reference untrustworthy"
+                )
+            refs[i] = reference_value(est.mean, est.stderr)
+            # a repeated f was stored at its first entry
+            if keys[i] is not None and keys[i] not in keys[:i]:
+                _cache_store(cdir / CACHE_FILENAME, keys[i], est.mean, est.stderr)
+    return refs[0] if single else refs

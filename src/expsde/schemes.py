@@ -67,15 +67,36 @@ def _exp_kernel(model, x, dt, dw, shift_b0):
     """Shared exponential update.  With shift_b0 the drift ratio uses
     b(X) - b(0) and the additive b(0)dt term is appended; without it this
     is the plain explicit exponential scheme.  When b(0) = 0 the two are
-    bitwise identical."""
+    bitwise identical.
+
+    The operations and their order are those of
+        b(0)dt + x exp(sigma xa1 dw + ((b - b(0))/x - (sigma^2/2) xa1 xa1) dt)
+    with xa1 = x^(alpha-1), evaluated into three arrays the kernel
+    allocates itself: x, dw and the drift's value (which may be x itself)
+    are never written.  The first of them is returned.  A zero b(0) is not
+    subtracted, since b - 0 is b exactly; it is still added, since 0 + v
+    is not v for v = -0 (a negative state whose exponential underflows)."""
+    b0 = model.b_at_zero
+    half_s2 = 0.5 * model.sigma * model.sigma
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        xa1 = np.power(x, model.alpha - 1.0)
+        out = np.power(x, model.alpha - 1.0)  # xa1, until it becomes expo
+        correction = np.multiply(half_s2, out)
+        np.multiply(correction, out, out=correction)
+        np.multiply(model.sigma, out, out=out)
+        np.multiply(out, dw, out=out)
         b = drift_eval(model, x)
-        num = b - model.b_at_zero if shift_b0 else b
-        expo = model.sigma * xa1 * dw + (num / x - 0.5 * model.sigma * model.sigma * xa1 * xa1) * dt
-        out = x * np.exp(expo)
+        if shift_b0 and b0 != 0.0:
+            ratio = np.subtract(b, b0)
+            np.divide(ratio, x, out=ratio)
+        else:
+            ratio = np.divide(b, x)
+        np.subtract(ratio, correction, out=ratio)
+        np.multiply(ratio, dt, out=ratio)
+        np.add(out, ratio, out=out)
+        np.exp(out, out=out)
+        np.multiply(x, out, out=out)
         if shift_b0:
-            out = model.b_at_zero * dt + out
+            np.add(b0 * dt, out, out=out)
     return out
 
 
@@ -111,7 +132,8 @@ def alive(values):
 
 
 def step_values(kind: SchemeKind, model, x, dt, dw):
-    """Apply one update of the chosen scheme to an array of states."""
+    """Apply one update of the chosen scheme to an ndarray of states (one
+    state goes through step)."""
     if kind is SchemeKind.ExpES:
         return _exp_kernel(model, x, dt, dw, shift_b0=True)
     if kind is SchemeKind.ExplicitExpEuler:

@@ -277,3 +277,33 @@ def test_csv_file_destination(tmp_path):
     out = tmp_path / "detail.csv"
     write_detail_csv(report, out)
     assert out.read_text().startswith("case,scheme")
+
+
+def test_compare_simulates_one_reference_per_case(tmp_path, monkeypatch, capsys):
+    from expsde import cli, reference
+
+    argv = ["compare", "--case", "case1", "--test-fn", "x", "--test-fn", "x2",
+            "--test-fn", "exp_neg_x2", "--p-min", "2", "--p-max", "3",
+            "--n", "500", "--n0", "2048", "--p-ref", "8", "--no-cache"]
+    calls = []
+
+    def recording(model, kind, fs, *args, _orig=reference.estimate_many, **kw):
+        calls.append(list(fs))
+        return _orig(model, kind, fs, *args, **kw)
+
+    monkeypatch.setattr(reference, "estimate_many", recording)
+    assert cli.main(argv + ["--output", str(tmp_path / "one.csv")]) == 0
+    assert calls == [["x", "x2", "exp_neg_x2"]]
+
+    # the per-function fallback, forced: one reference ensemble per f and
+    # the same bytes
+    def one_f_only(model, f, **kw):
+        if not isinstance(f, str):
+            raise ValueError("one test function at a time")
+        return fine_grid_reference(model, f, **kw)
+
+    monkeypatch.setattr(analysis, "fine_grid_reference", one_f_only)
+    assert cli.main(argv + ["--output", str(tmp_path / "per_f.csv")]) == 0
+    assert calls[1:] == [["x"], ["x2"], ["exp_neg_x2"]]
+    capsys.readouterr()
+    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "per_f.csv").read_bytes()

@@ -115,3 +115,20 @@ def test_empty_inputs_raise_before_simulating(monkeypatch):
         estimate_many(model, [], ["x"], 8, 9000, 0)
     with pytest.raises(ValueError, match="scheme"):
         weak_error_sweep(model, (), "x", [2], 9000, SimpleNamespace(value=0.0), 0)
+
+
+def test_one_kind_apis_reject_scheme_sequences(monkeypatch):
+    def no_stream(*args):
+        raise AssertionError("simulated before rejecting the kinds")
+
+    monkeypatch.setattr(montecarlo, "make_stream", no_stream)
+    model = CASES["case1"]
+    both = [SchemeKind.ExpES, SchemeKind.TES]
+    with pytest.raises(TypeError, match="SchemeKind"):
+        montecarlo.estimate_expectation(model, both, "x", 3, 300, 0)
+    with pytest.raises(TypeError, match="SchemeKind"):
+        montecarlo.moment_sweep(model, both, [1, 2], 3, 300, 0)
+    with pytest.raises(TypeError, match="SchemeKind"):
+        montecarlo.exp_moment_estimate(model, (SchemeKind.ExpES,), 0.01, 3, 300, 0)
+    with pytest.raises(TypeError, match="SchemeKind"):
+        montecarlo.estimate_expectation(model, "exp-es", "x", 3, 300, 0)

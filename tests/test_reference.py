@@ -336,3 +336,34 @@ def test_cache_store_drops_cut_short_tail(tmp_path):
     assert lines[0] == "0123abc 0.25 0.01"
     assert lines[1].split()[1:] == [repr(first.value), repr(first.uncertainty)]
     assert lines[2:] == [""]
+
+
+def test_fine_grid_sequence_shares_one_ensemble(tmp_path, monkeypatch):
+    calls = []
+
+    def recording(model, kind, fs, *args, _orig=reference.estimate_many, **kw):
+        calls.append(list(fs))
+        return _orig(model, kind, fs, *args, **kw)
+
+    kw = dict(n0=300, p_ref=4, seed=11)
+    fs = ["x", "x2", np.ones_like, "exp_neg_x2"]
+    alone = [fine_grid_reference(CASE1, f, use_cache=False, **kw) for f in fs]
+    monkeypatch.setattr(reference, "estimate_many", recording)
+    together = fine_grid_reference(CASE1, fs, use_cache=False, **kw)
+    assert together == alone and calls == [fs]
+    # one record per named f; a later call simulates only its misses
+    calls.clear()
+    assert fine_grid_reference(CASE1, fs, cache_dir=tmp_path, **kw) == alone
+    records = (tmp_path / "references.txt").read_text().splitlines()
+    assert len(records) == 3
+    mixed = fine_grid_reference(CASE1, ("x2", "inv_x"), cache_dir=tmp_path, **kw)
+    assert mixed[0] == alone[1]
+    assert mixed[1] == fine_grid_reference(CASE1, "inv_x", use_cache=False, **kw)
+    assert calls == [fs, ["inv_x"], ["inv_x"]]
+    assert len((tmp_path / "references.txt").read_text().splitlines()) == 4
+    # a repeated f is one record
+    twice = fine_grid_reference(CASE1, ["x", "x"], cache_dir=tmp_path / "twice", **kw)
+    assert twice == [alone[0], alone[0]]
+    assert len((tmp_path / "twice" / "references.txt").read_text().splitlines()) == 1
+    with pytest.raises(ValueError, match="test function"):
+        fine_grid_reference(CASE1, [], use_cache=False, **kw)
