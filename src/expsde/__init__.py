@@ -62,9 +62,9 @@ __version__ = "0.1.0"
 
 def __getattr__(name):
     # the CLI is imported on first use, not with the package: `python -m
-    # expsde.cli` (and every spawned worker of such a run) imports the
-    # package before it runs the module, and warns if the module is
-    # already in sys.modules by then
+    # expsde.cli` (and, where workers are spawned, every worker of such a
+    # run) imports the package before it runs the module, and warns if the
+    # module is already in sys.modules by then
     if name in ("cli", "CASES", "main"):
         cli = importlib.import_module(".cli", __name__)
         return cli if name == "cli" else getattr(cli, name)

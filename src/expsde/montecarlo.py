@@ -10,10 +10,12 @@ through a pairwise tree with compensated addition.  Neither the
 worker count nor the scheduling order can change any output bit (workers
 only compute whole chunks, which are pure functions of the chunk index).
 
-Workers are spawned processes from one pool per worker_pool entry: a
-command opens it once around all of its ensembles, and the pool is only
-started at the first ensemble with more than one chunk, so a command that
-never needs it spawns nothing.
+Workers are processes of one pool per worker_pool entry: a command opens
+it once around all of its ensembles, and the pool is only started at the
+first ensemble with more than one chunk, so a command that never needs it
+starts no process.  On Linux the workers are forked, so they start with
+numpy and this package already imported; elsewhere they are spawned and
+import them afresh.
 
 Diverged trajectories (non-finite state, |state| above the cap, or a
 non-finite test-function value at the terminal, for example 1/x at an
@@ -26,6 +28,7 @@ import contextlib
 import math
 import multiprocessing
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Optional
@@ -261,8 +264,16 @@ def _worker(args):
 
 
 class _LazyPool:
-    """A spawn pool of `workers` processes, at most one per CPU, started at
-    the first map with more than one worker and more than one task."""
+    """A pool of `workers` processes, at most one per CPU, started at the
+    first map with more than one worker and more than one task.
+
+    The workers are forked on Linux and spawned elsewhere: macOS's
+    Accelerate-backed numpy is not fork-safe, and Windows cannot fork.  A
+    forked worker needs no import and runs the same pure _chunk_payload as
+    a spawned one, so the start method changes no output bit.  A spawned
+    worker re-imports the calling script, which must therefore guard its
+    entry code with `if __name__ == "__main__":`.
+    """
 
     def __init__(self, workers):
         self.workers = min(workers, os.cpu_count() or 1)
@@ -272,7 +283,7 @@ class _LazyPool:
         if self.workers <= 1 or len(arglist) <= 1:
             return map(func, arglist)
         if self._pool is None:
-            ctx = multiprocessing.get_context("spawn")
+            ctx = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
             self._pool = ctx.Pool(processes=self.workers)
         return self._pool.imap(func, arglist, chunksize=1)
 
@@ -291,8 +302,8 @@ def worker_pool(workers):
     """Share one worker pool among every ensemble run inside the block.
 
     Reentrant: the outermost entry sets the worker count and nested entries
-    reuse its pool, whatever count they name.  Nothing is spawned until an
-    ensemble with more than one chunk runs with more than one worker.  When
+    reuse its pool, whatever count they name.  No process is started until
+    an ensemble with more than one chunk runs with more than one worker.  When
     the outermost entry exits, also by an exception, its pool is terminated
     and its processes joined.
     """

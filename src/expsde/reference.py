@@ -150,8 +150,8 @@ def adaptive_quadrature(smooth, tol: float = DEFAULT_QUAD_TOL,
         pieces.append((upper, 0.0, 0.5 ** (1.0 + c1)))
     else:
         pieces.append((full, 0.5, 1.0))
-    # imported here so that the package, and every spawned worker, loads
-    # without scipy
+    # imported here so that the package loads without scipy, as does every
+    # worker, which imports it afresh where workers are spawned
     from scipy import integrate
 
     total = 0.0
@@ -281,7 +281,9 @@ def chi_square_moment(model: PrototypeModel, order: float,
 
     finite iff order < 2 B2/sigma^2 + 2 alpha - 1.  This derivation is
     independent of the published integrals and converges for every catalog
-    case; it serves as the diagnostic oracle for them.
+    case; it serves as the diagnostic oracle for them.  tol is an absolute
+    tolerance on the returned value, whose uncertainty is the quadrature's
+    error bound.
     """
     _require_zero_intercept(model, need_unit_setup=False)
     if not order > 0.0:
@@ -299,9 +301,11 @@ def chi_square_moment(model: PrototypeModel, order: float,
     scale = m * m * s2 * model.horizon
     lam = model.x0 ** (-2.0 * m) / scale
     c0 = q - 1.0
-    raw, err = adaptive_quadrature(lambda r: math.exp(-0.5 * lam * r),
-                                   tol=tol, c0=c0, c1=c1)
     pref = (2.0 * scale) ** (-q) / gamma_function(q)
+    # tol bounds the error of the returned value pref * raw, so the raw
+    # integral needs tol / pref (pref is about 7e10 on case6, order 2)
+    raw, err = adaptive_quadrature(lambda r: math.exp(-0.5 * lam * r),
+                                   tol=tol / pref, c0=c0, c1=c1)
     meta = {"tol": tol, "moment": order, "law": "noncentral-chi-square"}
     return ReferenceValue(pref * raw, ReferenceMethod.AnalyticIntegral,
                           pref * err, meta)

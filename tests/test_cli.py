@@ -371,22 +371,24 @@ def test_rate_summary_schema(capsys):
     assert fields[5:] == ["2", "4"]
 
 
+# the start method montecarlo's pool uses on this platform
+START_METHOD = "fork" if sys.platform == "linux" else "spawn"
+
+
 def count_pools(monkeypatch, inline=False):
     """Replace the multiprocessing module montecarlo sees with one that
-    records the worker count of every pool built through it.  An inline
-    pool runs its tasks in this process and starts none."""
+    records the start method and worker count of every pool built through
+    it.  An inline pool runs its tasks in this process and starts none."""
     built = []
 
     def get_context(method=None):
-        ctx = multiprocessing.get_context(method)
-
         def pool(*args, **kwargs):
-            built.append(kwargs.get("processes"))
+            built.append((method, kwargs.get("processes")))
             if inline:
                 return SimpleNamespace(
                     imap=lambda func, tasks, chunksize: map(func, tasks),
                     terminate=lambda: None, join=lambda: None)
-            return ctx.Pool(*args, **kwargs)
+            return multiprocessing.get_context(method).Pool(*args, **kwargs)
 
         return SimpleNamespace(Pool=pool)
 
@@ -406,12 +408,64 @@ def test_compare_builds_one_pool_per_command(tmp_path, monkeypatch, capsys):
     built = count_pools(monkeypatch)
     assert main(argv + ["--workers", "2", "--output", str(two)]) == 0
     capsys.readouterr()
-    assert built == [2]
+    assert built == [(START_METHOD, 2)]
     assert two.read_bytes() == one.read_bytes()
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("cpus,pools", [(3, [3]), (None, [])])
+def test_pool_forked_from_a_warm_parent_matches_one_worker(tmp_path, capsys):
+    # a forked worker inherits the parent's stream-key cache and shared
+    # generator; an ensemble at another seed and level leaves both holding
+    # other state than the command's first chunk needs
+    montecarlo.estimate_many(CASES["case1"], SchemeKind.ExpES, ["x"], 5,
+                             5000, 11)
+    argv = ["compare", "--case", "case1", "--scheme", "exp-es", "--scheme",
+            "ses", "--p-min", "2", "--p-max", "3", "--n", "5000",
+            "--n0", "400", "--p-ref", "5", "--seed", "3", "--no-cache"]
+    one, two = tmp_path / "w1.csv", tmp_path / "w2.csv"
+    assert main(argv + ["--workers", "2", "--output", str(two)]) == 0
+    assert main(argv + ["--workers", "1", "--output", str(one)]) == 0
+    capsys.readouterr()
+    assert two.read_bytes() == one.read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("platform,method",
+                         [("linux", "fork"), ("darwin", "spawn")])
+def test_pool_forks_on_linux_only(platform, method, monkeypatch):
+    # macOS's Accelerate-backed numpy is not fork-safe, and Windows has no
+    # fork; the inline pool starts no process on either branch
+    built = count_pools(monkeypatch, inline=True)
+    monkeypatch.setattr(sys, "platform", platform)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    montecarlo.estimate_many(CASES["case1"], SchemeKind.ExpES, ["x"], 2,
+                             5000, 3, workers=2)
+    assert built == [(method, 2)]
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="spawned workers re-import an unguarded script")
+def test_unguarded_script_with_workers_exits(tmp_path):
+    # a script without an `if __name__ == "__main__":` guard hung at full
+    # CPU while spawned workers died re-running it; forked workers do not
+    # run it again
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "from expsde.cli import CASES\n"
+        "from expsde.montecarlo import estimate_many\n"
+        "from expsde.schemes import SchemeKind\n"
+        "print(estimate_many(CASES['case1'], SchemeKind.ExpES, ['x'], 3, "
+        "9000, 1, workers=2)[0].mean)\n")
+    src = str(Path(expsde.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert math.isfinite(float(proc.stdout))
+
+
+@pytest.mark.parametrize("cpus,pools", [(3, [(START_METHOD, 3)]), (None, [])])
 def test_pool_is_capped_at_the_cpu_count(cpus, pools, tmp_path, monkeypatch,
                                          capsys):
     # --workers 5000 asks for one process per worker; an unknown CPU count
@@ -485,8 +539,8 @@ def test_reference_no_closed_form_notice(capsys):
 
 
 def test_import_leaves_scipy_unloaded():
-    # spawned workers import the package; scipy is only needed by the
-    # quadrature, which no worker runs
+    # spawned workers (off Linux) import the package; scipy is only needed
+    # by the quadrature, which no worker runs
     src = str(Path(expsde.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -500,9 +554,10 @@ def test_import_leaves_scipy_unloaded():
 
 def test_module_run_with_workers_prints_no_runtime_warning(tmp_path):
     # `python -m expsde.cli` imports the package first, and each spawned
-    # worker imports it again; a package that imported the CLI eagerly made
-    # runpy warn that expsde.cli was already in sys.modules, a varying number
-    # of times per run.  n = 5000 spans two chunks, so the pool runs.
+    # worker (off Linux) imports it again; a package that imported the CLI
+    # eagerly made runpy warn that expsde.cli was already in sys.modules, a
+    # varying number of times per run.  n = 5000 spans two chunks, so the
+    # pool runs.
     src = str(Path(expsde.__file__).resolve().parent.parent)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

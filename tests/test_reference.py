@@ -25,6 +25,7 @@ from expsde.reference import (
 CASE1 = PrototypeModel(b2=2.0, sigma=0.1, alpha=1.5)
 CASE2 = PrototypeModel(b2=3.0, sigma=1.0, alpha=1.25)
 CASE5 = PrototypeModel(b2=10.0, sigma=0.5, alpha=1.125)
+CASE6 = PrototypeModel(b2=0.01, sigma=0.1, alpha=1.25)
 # strong-drift unit-noise model: moments finite up to order 7, so x and x2
 # estimates both have honest standard errors
 SOLID = PrototypeModel(b2=2.0, sigma=1.0, alpha=1.5)
@@ -149,6 +150,18 @@ def test_chi_square_frozen_values():
     assert chi_square_moment(SOLID, 1).value == pytest.approx(0.2969970751, rel=1e-8)
     assert chi_square_moment(SOLID, 2).value == pytest.approx(0.1090087746, rel=1e-8)
     assert chi_square_moment(CONV, 1).value == pytest.approx(0.5765101241, rel=1e-8)
+
+
+def test_chi_square_case5_case6_second_moment():
+    # a prefactor of about 7e10 (case6) scales the raw integral, so only a
+    # tolerance on the returned value gets these right; the literals agree
+    # with scipy.stats.ncx2's expectation and a 40-digit quadrature
+    case6 = chi_square_moment(CASE6, 2)
+    assert case6.value == pytest.approx(0.99003125, rel=1e-12)
+    assert case6.uncertainty < 1e-12
+    case5 = chi_square_moment(CASE5, 2)
+    assert case5.value == pytest.approx(4.50360995900693e-05, rel=1e-10)
+    assert case5.uncertainty < 1e-12
 
 
 def test_chi_square_near_ode_limit():
