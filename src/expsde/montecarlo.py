@@ -2,13 +2,15 @@
 empirical moment checks, deterministically parallel.
 
 Trajectories are processed in fixed chunks of CHUNK_TRAJECTORIES.  Each
-trajectory draws its normals from its own keyed stream, a row of the one
-stream a chunk draws through (paths.make_stream), stepping is vectorized
-across the chunk, every scheme of an ensemble steps in lockstep on the
-chunk's one pass of draws, and chunk results are reduced in chunk-index order
-through a pairwise tree with compensated addition.  Neither the
-worker count nor the scheduling order can change any output bit (workers
-only compute whole chunks, which are pure functions of the chunk index).
+trajectory draws its normals from its own lane of a keyed lane-group
+stream, a row of the one stream a chunk draws through (paths.make_stream),
+stepping is vectorized across the chunk, every scheme of an ensemble steps
+in lockstep on the chunk's one pass of draws, and chunk results are
+reduced in chunk-index order: sums through a pairwise tree with
+compensated addition, and each chunk's (count, mean, M2) moments, for the
+standard error, by Chan, Golub and LeVeque's merge.  Neither the worker
+count nor the scheduling order can change any output bit (workers only
+compute whole chunks, which are pure functions of the chunk index).
 
 Workers are processes of one pool per worker_pool entry: a command opens
 it once around all of its ensembles, and the pool is only started at the
@@ -56,9 +58,7 @@ __all__ = [
 ]
 
 CHUNK_TRAJECTORIES = 4096
-SEGMENT_STEPS = 1024
-TILE_STEPS = 32  # steps per step-major draw tile (see simulate_paths)
-TILE_ROWS = 256  # rows per sub-block of the copy into a tile
+TILE_STEPS = 32  # steps per standard_normals call (see _lockstep_paths)
 MARKER_FRACTION = 0.01  # a table row renders "-" above this diverged share
 
 
@@ -146,9 +146,9 @@ def simulate_paths(model, kind, p, streams):
     Yields (states, diverged) at every grid time, the start included: 2^p + 1
     pairs of arrays with one element per row.  Every yielded array is fresh
     and never written again.  A path that diverges keeps its last good state
-    and is flagged from then on.  Draws 2^p standard normals per row in
-    segments of SEGMENT_STEPS, one standard_normals call per segment, and
-    stops early (without drawing the rest) once every path has diverged.
+    and is flagged from then on.  Draws 2^p standard normals per row,
+    TILE_STEPS steps per standard_normals call, and stops early (without
+    drawing the rest) once every path has diverged.
     Until a first path diverges a step costs no divergence mask: a max and
     a min of the new states show that all are alive.
 
@@ -169,12 +169,10 @@ def _lockstep_paths(model, kinds, p, streams):
     scheme is done.  Each scheme thus sees exactly the increments, in the
     order, that it would see stepped alone.
 
-    A segment's (count, steps) block is row-major, so one step's draws lie
-    a whole row apart.  The engine therefore copies TILE_STEPS steps at a
-    time into one reused step-major (TILE_STEPS, count) tile, already
-    multiplied by sqrt(dt), in sub-blocks of TILE_ROWS rows that stay in
-    cache; each step's increments are then one contiguous tile row, shared
-    by every scheme.
+    The stream's draws come TILE_STEPS steps per standard_normals call, as
+    the transpose of a step-major (steps, count) block; that block times
+    sqrt(dt) holds one step's increments per contiguous row, shared by
+    every scheme.
 
     While none of a scheme's paths has diverged, one max and one min of the
     kernel output decide that every path is still alive (see alive); the
@@ -194,34 +192,25 @@ def _lockstep_paths(model, kinds, p, streams):
     clean = [True] * len(kinds)  # no path of the scheme has diverged yet
     live = range(len(kinds))
     yield tuple(zip(xs, divs))
-    tile = np.empty((min(TILE_STEPS, n_steps), count), dtype=np.float64)
-    for k0 in range(0, n_steps, SEGMENT_STEPS):
-        block = streams.standard_normals(min(SEGMENT_STEPS, n_steps - k0))
-        for j0 in range(0, block.shape[1], TILE_STEPS):
-            steps = tile[:min(TILE_STEPS, block.shape[1] - j0)]
-            for r0 in range(0, count, TILE_ROWS):
-                rows = slice(r0, r0 + TILE_ROWS)
-                np.multiply(block[rows, j0:j0 + len(steps)].T, sqdt,
-                            out=steps[:, rows])
-            for dw in steps:
-                live = [i for i in live if clean[i] or not divs[i].all()]
-                if not live:
-                    return
-                for i in live:
-                    cand = step_values(kinds[i], model, xs[i], dt, dw)
-                    # max and min propagate NaN, which fails both tests
-                    if (clean[i] and cand.max() <= DIVERGENCE_CAP
-                            and cand.min() >= -DIVERGENCE_CAP):
-                        xs[i], divs[i] = cand, np.zeros(count, dtype=bool)
-                        continue
-                    clean[i] = False
-                    div = divs[i] | ~alive(cand)
-                    # freeze in the fresh kernel output, never in a yielded x
-                    np.copyto(cand, xs[i], where=div)
-                    xs[i], divs[i] = cand, div
-                yield tuple(zip(xs, divs))
-        # free this segment's draws before the next segment's are made
-        del block
+    for k0 in range(0, n_steps, TILE_STEPS):
+        incs = streams.standard_normals(min(TILE_STEPS, n_steps - k0)).T * sqdt
+        for dw in incs:
+            live = [i for i in live if clean[i] or not divs[i].all()]
+            if not live:
+                return
+            for i in live:
+                cand = step_values(kinds[i], model, xs[i], dt, dw)
+                # max and min propagate NaN, which fails both tests
+                if (clean[i] and cand.max() <= DIVERGENCE_CAP
+                        and cand.min() >= -DIVERGENCE_CAP):
+                    xs[i], divs[i] = cand, np.zeros(count, dtype=bool)
+                    continue
+                clean[i] = False
+                div = divs[i] | ~alive(cand)
+                # freeze in the fresh kernel output, never in a yielded x
+                np.copyto(cand, xs[i], where=div)
+                xs[i], divs[i] = cand, div
+            yield tuple(zip(xs, divs))
 
 
 def _chunk_payload(model, kinds, p, seed, start, count, observe):
@@ -344,20 +333,27 @@ def _tree_sum(leaves):
     return s + c
 
 
-def _assemble(sums, sumsqs, n_eff, n_div):
-    total = _tree_sum(sums)
-    total_sq = _tree_sum(sumsqs)
+def _assemble(sums, moments, n_div):
+    """One Estimate from per-chunk sums and (count, mean, M2) moments, in
+    chunk-index order.  The mean is the compensated tree sum of the chunk
+    sums over the count; the variance merges the chunk moments one after
+    another (Chan, Golub & LeVeque 1979), so it does not cancel when the
+    spread is small against the mean."""
+    n_eff, run_mean, m2 = 0, 0.0, 0.0
+    for n_c, mean_c, m2_c in moments:
+        if n_c:
+            n = n_eff + n_c
+            delta = mean_c - run_mean
+            run_mean += delta * n_c / n
+            m2 += m2_c + delta * delta * n_eff * n_c / n
+            n_eff = n
     if n_eff == 0:
         return Estimate(mean=math.nan, stderr=math.inf,
                         n_effective=0, n_diverged=n_div)
-    mean = total / n_eff
-    if n_eff == 1:
-        stderr = math.inf
-    else:
-        var = (total_sq - n_eff * mean * mean) / (n_eff - 1)
-        # an overflowed sum of squares gives inf or nan: no finite stderr
-        stderr = (math.sqrt(max(0.0, var) / n_eff) if math.isfinite(var)
-                  else math.inf)
+    mean = _tree_sum(sums) / n_eff
+    var = m2 / (n_eff - 1) if n_eff > 1 else math.inf
+    # an overflowed square gives inf or nan: no finite stderr
+    stderr = math.sqrt(var / n_eff) if math.isfinite(var) else math.inf
     return Estimate(mean=mean, stderr=stderr, n_effective=n_eff, n_diverged=n_div)
 
 
@@ -392,25 +388,26 @@ def _estimate(model, kinds, fs, p, n, seed, workers, observe):
     funcs = [resolve_test_function(f) for f in fs]
     if not funcs:
         raise ValueError("need at least one test function")
-    # sums, sumsqs, n_eff, n_div per (scheme, test function)
-    acc = [[([], [], 0, 0) for _ in funcs] for _ in kinds]
+    # chunk sums, chunk (count, mean, M2) moments, n_div per (scheme, test function)
+    acc = [[([], [], 0) for _ in funcs] for _ in kinds]
     arglist = [(model, kinds, p, seed, s, min(CHUNK_TRAJECTORIES, n - s), observe)
                for s in range(0, n, CHUNK_TRAJECTORIES)]
     with worker_pool(workers) as pool:
         for observed in pool.imap(_worker, arglist):
             for per_f, (values, div) in zip(acc, observed):
                 for idx, func in enumerate(funcs):
+                    sums, moments, n_div = per_f[idx]
                     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                         vals = np.asarray(func(values), dtype=np.float64)
-                    good = ~div & np.isfinite(vals)
-                    sums, sumsqs, n_eff, n_div = per_f[idx]
-                    safe = np.where(good, vals, 0.0)
-                    with np.errstate(over="ignore"):
-                        sums.append(float(np.sum(safe)))
-                        sumsqs.append(float(np.sum(safe * safe)))
-                    per_f[idx] = (sums, sumsqs,
-                                  n_eff + int(good.sum()),
-                                  n_div + int((~good).sum()))
+                        good = ~div & np.isfinite(vals)
+                        n_c = int(good.sum())
+                        total = float(np.sum(np.where(good, vals, 0.0)))
+                        mean_c = total / n_c if n_c else 0.0
+                        dev = np.where(good, vals - mean_c, 0.0)
+                        m2_c = float(np.sum(dev * dev))
+                    sums.append(total)
+                    moments.append((n_c, mean_c, m2_c))
+                    per_f[idx] = (sums, moments, n_div + good.size - n_c)
     return [_assemble(*f_acc) for per_f in acc for f_acc in per_f]
 
 

@@ -1,43 +1,47 @@
-"""Reproducible Gaussian increment streams keyed by (seed, trajectory, level).
+"""Reproducible Gaussian increment streams keyed by (seed, lane group, level).
 
-Each trajectory's stream is a counter-based Philox generator whose key is
-numpy's SeedSequence hash of the seed with (trajectory, level) as the spawn
-key, that is the key `Philox(SeedSequence(entropy=seed, spawn_key=(trajectory,
-level)))` would use.  The k-th draw of a stream is a pure function of
-(seed, trajectory, level, k): simulation order, chunking and worker layout
-cannot change any value.  Draws are standard normals; the path stepper
+Trajectories are drawn in lane groups of LANES consecutive trajectories:
+group g holds trajectories g*LANES .. g*LANES + LANES - 1.  A group's
+stream is one counter-based Philox generator whose key is numpy's
+SeedSequence hash of the seed with (g, level) as the spawn key, that is the
+key `Philox(SeedSequence(entropy=seed, spawn_key=(g, level)))` would use.
+The group draws step-major: its j-th standard normal is step j // LANES of
+lane j % LANES, and trajectory t reads lane t % LANES of group t // LANES.
+So the k-th draw of a trajectory is a pure function of (seed, trajectory,
+level, k): simulation order, chunking and worker layout cannot change any
+value.  Draws are standard normals; the path stepper
 (montecarlo.simulate_paths) scales them by sqrt(dt).
 
 A GaussianStream covers a run of `count` consecutive trajectories, one row
 each: the engine makes one per chunk of paths, and standard_normals(n)
-returns the next n draws of every row as one (count, n) array.  Anything
-with a `count` and such a standard_normals(n) method can stand in for a
-stream in the stepper.
+returns the next n draws of every row as one (count, n) array, the
+transpose view of a step-major (n, count) block.  Anything with a `count`
+and such a standard_normals(n) method can stand in for a stream in the
+stepper.
 
-Keys are computed in bulk, KEY_BLOCK trajectories per numpy pass
-(philox_keys re-implements the SeedSequence pool hash on uint32 arrays).
-A stream drawn in one call, such as every chunk of a short path, draws
-all its rows through one Philox generator per thread, re-keyed per row by
-assigning its state.  A stream whose paths resume over several calls (a
-path longer than one draw segment) instead builds one generator per row
-at its first call, keyed through _RowKey without hashing a SeedSequence,
-and later calls draw straight from those.  Neither changes a draw: every
-row draws the values of its own Philox(SeedSequence(...)) generator.
+Keys are computed in bulk, KEY_BLOCK groups per numpy pass (philox_keys
+re-implements the SeedSequence pool hash on uint32 arrays).  A stream
+builds one generator per group it touches when it is made, and every
+call continues from those.  A run that starts or ends inside a group draws
+the whole group and keeps its own lanes, so a trajectory's draws never
+depend on the run it is drawn in.
 
-The generator family (Philox via numpy) is fixed per release; changing it
-changes every simulated number.
+The generator family (Philox via numpy) and the group layout are fixed per
+release (reference.NUMERICS_VERSION); changing either changes every
+simulated number.
 """
 
 from __future__ import annotations
 
 import functools
-import threading
 
 import numpy as np
 
-__all__ = ["GaussianStream", "make_stream", "philox_keys", "KEY_BLOCK"]
+__all__ = ["GaussianStream", "make_stream", "philox_keys", "KEY_BLOCK", "LANES"]
 
+LANES = 64  # trajectories per lane group, one Philox generator each
 KEY_BLOCK = 4096  # a power of two below 2^32: a block never straddles a word boundary
+SLICE_DRAWS = 1 << 16  # draws per generator call, so scratch stays small
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -108,11 +112,11 @@ def _seed_sequence_keys(entropy: list) -> np.ndarray:
 
 
 def philox_keys(seed: int, block: int, *tail: int) -> np.ndarray:
-    """Philox keys of the KEY_BLOCK trajectories t = block*KEY_BLOCK + i.
+    """Philox keys of the KEY_BLOCK spawn indices t = block*KEY_BLOCK + i.
 
     Row i equals SeedSequence(entropy=seed, spawn_key=(t, *tail))
     .generate_state(2, np.uint64), the key Philox takes from that
-    SeedSequence.  Streams use tail = (level,).
+    SeedSequence.  Streams use t = lane group and tail = (level,).
     """
     if seed < 0 or block < 0 or any(v < 0 for v in tail):
         raise ValueError("seed, block and spawn-key entries must be nonnegative")
@@ -129,31 +133,14 @@ def philox_keys(seed: int, block: int, *tail: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def _stream_keys(seed: int, level: int, block: int) -> tuple:
+def _group_keys(seed: int, level: int, block: int) -> tuple:
     keys = philox_keys(seed, block, level)
     return tuple(zip(keys[:, 0].tolist(), keys[:, 1].tolist()))
 
 
-class _Generator(threading.local):
-    """The Philox generator single-call streams draw through, one per
-    thread.  Every row's draw first assigns that row's whole state to it."""
-
-    def __init__(self):
-        self.gen = np.random.Generator(np.random.Philox(0))
-        self.bitgen = self.gen.bit_generator
-        # the state of a Philox just built from a key; only the key changes
-        self.fresh = {"bit_generator": "Philox",
-                      "state": {"counter": [0, 0, 0, 0], "key": None},
-                      "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                      "has_uint32": 0, "uinteger": 0}
-
-
-_SHARED = _Generator()
-
-
-class _RowKey(np.random.bit_generator.ISeedSequence):
+class _GroupKey(np.random.bit_generator.ISeedSequence):
     """A seed sequence that hands Philox one precomputed key: Philox(
-    _RowKey(key)) is the generator Philox(SeedSequence(...)) builds when
+    _GroupKey(key)) is the generator Philox(SeedSequence(...)) builds when
     key is that SeedSequence's generate_state(2, np.uint64), without
     hashing it again (and cheaper than Philox(key=...))."""
 
@@ -168,20 +155,15 @@ class _RowKey(np.random.bit_generator.ISeedSequence):
 
 class GaussianStream:
     """Deterministic source of standard normal draws for `count` consecutive
-    trajectories, starting at `trajectory`.
+    trajectories, starting at `trajectory`, `counter` draws into each.
 
     Row i of every draw is the stream of trajectory + i alone: its values do
-    not depend on `count` or on the other rows.  A call that leaves the rows
-    fewer than 2^level draws in, the number a path at that level uses,
-    builds one generator per row (once) and later calls continue from
-    them.  A call that reaches 2^level draws ends with them; one after that
-    replays each row from its key, which gives the same draws at a cost
-    that grows with the counter.  A stream whose first call takes all
-    2^level draws never builds per-row generators.
+    not depend on `count`, on `counter` or on how the draws are split over
+    calls.  The stream holds one generator per lane group of its run,
+    `counter` steps in, and every call continues from them.
     """
 
-    __slots__ = ("seed", "trajectory", "level", "count", "counter",
-                 "_keys", "_rows")
+    __slots__ = ("seed", "trajectory", "level", "count", "counter", "_groups")
 
     def __init__(self, seed: int, trajectory: int, level: int, count: int = 1,
                  counter: int = 0):
@@ -194,51 +176,39 @@ class GaussianStream:
         self.level = int(level)
         self.count = int(count)
         self.counter = int(counter)
-        keys = []
         first, last = self.trajectory, self.trajectory + self.count
-        while first < last:  # one key block, or the part of it in the run
-            block, index = divmod(first, KEY_BLOCK)
-            take = min(KEY_BLOCK - index, last - first)
-            keys += _stream_keys(self.seed, self.level, block)[index:index + take]
-            first += take
-        self._keys = keys
-        # one generator per row, `counter` draws in, while the paths resume
-        self._rows = None
+        self._groups = []  # (generator, its lanes in the run, their rows)
+        for g in range(first // LANES, (last - 1) // LANES + 1):
+            block, index = divmod(g, KEY_BLOCK)
+            key = _group_keys(self.seed, self.level, block)[index]
+            lo, hi = max(first, g * LANES), min(last, (g + 1) * LANES)
+            self._groups.append((np.random.Generator(np.random.Philox(_GroupKey(key))),
+                                 slice(lo - g * LANES, hi - g * LANES),
+                                 slice(lo - first, hi - first)))
+        self._draw(self.counter, None)  # skip the draws already made
+
+    def _draw(self, n, out):
+        """Draw the next n steps of every group, at most SLICE_DRAWS normals
+        per generator call, into the group's rows of the (n, count) array
+        out, or nowhere when out is None."""
+        width = max(1, min(n, SLICE_DRAWS // LANES))
+        scratch = np.empty((width, LANES), dtype=np.float64)
+        for gen, lanes, rows in self._groups:
+            for k0 in range(0, n, width):
+                part = scratch[:min(width, n - k0)]
+                gen.standard_normal(out=part)
+                if out is not None:
+                    out[k0:k0 + len(part), rows] = part[:, lanes]
 
     def standard_normals(self, n: int) -> np.ndarray:
-        """Draw the next n standard normals of every row, as a fresh
-        (count, n) array (consecutive calls concatenate along each row)."""
+        """Draw the next n standard normals of every row, as a (count, n)
+        view of a fresh step-major (n, count) array (consecutive calls
+        concatenate along each row)."""
         n = int(n)
-        out = np.empty((self.count, n), dtype=np.float64)
-        counter = self.counter
+        out = np.empty((n, self.count), dtype=np.float64)
+        self._draw(n, out)
         self.counter += n
-        # counter < 2^level: the paths have draws to come
-        resume = self.counter.bit_length() <= self.level
-        rows = self._rows
-        if rows is None and not resume:
-            # start every row from its key on the shared generator and
-            # replay the draws already made
-            shared = _SHARED
-            gen, bitgen, fresh = shared.gen, shared.bitgen, shared.fresh
-            fresh_state = fresh["state"]
-            for i, key in enumerate(self._keys):
-                fresh_state["key"] = key
-                bitgen.state = fresh
-                if counter:
-                    gen.standard_normal(counter)
-                gen.standard_normal(out=out[i])
-            return out
-        if rows is None:
-            rows = self._rows = [np.random.Generator(np.random.Philox(_RowKey(key)))
-                                 for key in self._keys]
-            if counter:
-                for gen in rows:
-                    gen.standard_normal(counter)
-        for gen, row in zip(rows, out):
-            gen.standard_normal(out=row)
-        if not resume:
-            self._rows = None
-        return out
+        return out.T
 
     def __repr__(self):
         return (f"GaussianStream(seed={self.seed}, trajectory={self.trajectory}, "

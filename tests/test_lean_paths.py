@@ -1,10 +1,10 @@
 """Oracles for the lean long-path engine.
 
 Each fast path must give the values of the plain form it replaces, bit for
-bit: per-row generators of a stream that resumes over several calls against
-one numpy generator per trajectory; the drift and every kernel against
-their textbook formulas; the all-alive step test against the per-column
-engine in test_engine_tiles, also when a path first diverges late.
+bit: a stream drawn over many calls against the same stream drawn in one;
+the drift and every kernel against their textbook formulas; the all-alive
+step test against the per-column engine in test_engine_tiles, also when a
+path first diverges late.
 """
 
 import math
@@ -12,18 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from expsde import paths
 from expsde.cli import CASES
 from expsde.models import GeneralDriftModel, PrototypeModel, drift_eval
-from expsde.montecarlo import SEGMENT_STEPS, simulate_paths
-from expsde.paths import make_stream
+from expsde.montecarlo import TILE_STEPS, simulate_paths
+from expsde.paths import KEY_BLOCK, LANES, GaussianStream, make_stream
 from expsde.schemes import SchemeKind, step_values
 from test_engine_tiles import column_oracle
-
-
-def solo_draws(seed, trajectory, level, n):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trajectory, level))
-    return np.random.Generator(np.random.Philox(ss)).standard_normal(n)
 
 
 def same_bits(got, want):
@@ -34,48 +28,30 @@ def same_bits(got, want):
             and np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64)))
 
 
-# ------------------------------------------------------ per-row generators
+# ------------------------------------------------ draws split over calls
 
-def test_resumed_rows_equal_one_generator_per_trajectory(monkeypatch):
-    keyed = []
-
-    class CountingKey(paths._RowKey):
-        __slots__ = ()
-
-        def __init__(self, key):
-            keyed.append(key)
-            super().__init__(key)
-
-    monkeypatch.setattr(paths, "_RowKey", CountingKey)
-    # nine rows across a key-block boundary at level 12, drawn in uneven
-    # splits of its 4096 draws and then past them (a replay from the keys),
-    # interleaved with a second stream that resumes too
-    deep = make_stream(11, paths.KEY_BLOCK - 4, 12, 9)
+def test_split_calls_equal_one_call_across_groups():
+    # 200 rows from mid-group across a key-block boundary at level 12 touch
+    # five lane groups; uneven splits of 4106 draws, interleaved with a
+    # second stream that is split too, give the draws of one call
+    start = KEY_BLOCK * LANES - 70
+    deep = make_stream(11, start, 12, 200)
     other = make_stream(3, 40, 6, 2)
     deep_parts, other_parts = [], []
     for width, other_width in [(1, 5), (1023, 0), (700, 17), (2000, 30),
                                (372, 12), (10, 1)]:
         deep_parts.append(deep.standard_normals(width))
         other_parts.append(other.standard_normals(other_width))
-    # one generator per row, built once, for each stream
-    assert len(keyed) == 9 + 2
     got = np.concatenate(deep_parts, axis=1)
     assert deep.counter == got.shape[1] == 4106
-    for i in range(9):
-        assert np.array_equal(got[i], solo_draws(11, paths.KEY_BLOCK - 4 + i, 12, 4106)), i
+    assert np.array_equal(got, make_stream(11, start, 12, 200).standard_normals(4106))
     got = np.concatenate(other_parts, axis=1)
-    for i in range(2):
-        assert np.array_equal(got[i], solo_draws(3, 40 + i, 6, 65)), i
-    # a stream that starts mid-path builds its rows and replays the counter
-    resumed = paths.GaussianStream(11, 7, 12, count=3, counter=1500)
+    assert np.array_equal(got, make_stream(3, 40, 6, 2).standard_normals(65))
+    # a stream that starts mid-path skips the counter in every group
+    resumed = GaussianStream(11, start + 3, 12, count=130, counter=1500)
     got = np.concatenate([resumed.standard_normals(w) for w in (24, 1000)], axis=1)
-    for i in range(3):
-        assert np.array_equal(got[i], solo_draws(11, 7 + i, 12, 2524)[1500:]), i
-    # a stream drawn in one call keeps the shared re-keyed generator
-    keyed.clear()
-    one = make_stream(11, 0, 5, 4).standard_normals(32)
-    assert keyed == []
-    assert np.array_equal(one[3], solo_draws(11, 3, 5, 32))
+    assert np.array_equal(got, make_stream(11, start + 3, 12, 130)
+                          .standard_normals(2524)[:, 1500:])
 
 
 # ------------------------------------------------- drift and kernel oracles
@@ -184,12 +160,12 @@ def first_flagged(pairs):
 @pytest.mark.parametrize("kind", SchemeKind, ids=lambda k: k.value)
 def test_late_first_divergence_matches_column_oracle(kind, poison):
     # every path of case1 stays alive at p = 11 until row 5 draws the
-    # poison at step 1500, past the first segment: the engine runs the
+    # poison at step 1500, many tiles in: the engine runs the
     # all-alive test for 1500 steps, then the mask path to the end.  The
     # poisoned state may be over the cap on either side, infinite, NaN or
     # (a tamed or underflowing update) still alive
     model, p, rows, late = CASES["case1"], 11, 40, 1500
-    assert late > SEGMENT_STEPS
+    assert late > TILE_STEPS
     draws = make_stream(8, 0, p, rows).standard_normals(1 << p)
     draws[5, late] = poison
     want = assert_matches_oracle(model, kind, p, lambda: ArrayStream(draws))

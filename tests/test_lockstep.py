@@ -17,7 +17,7 @@ from expsde.cli import CASES
 from expsde.models import PrototypeModel
 from expsde.montecarlo import (
     CHUNK_TRAJECTORIES,
-    SEGMENT_STEPS,
+    TILE_STEPS,
     estimate_many,
     weak_error_sweep,
     worker_pool,
@@ -34,7 +34,7 @@ STIFF = PrototypeModel(b2=1e4, sigma=0.01, alpha=1.5, x0=0.5)
 MODELS = {"case2": CASES["case2"], "case4": CASES["case4"], "stiff": STIFF}
 # every scheme, one of them twice
 KINDS = list(SchemeKind) + [SchemeKind.SES]
-LEVELS = (0, 2, 11)  # p = 11 draws two segments
+LEVELS = (0, 2, 11)  # p = 11 draws 64 tiles
 
 
 @pytest.mark.parametrize("case", sorted(MODELS))
@@ -96,7 +96,7 @@ def test_lockstep_stops_drawing_once_every_scheme_is_done(monkeypatch):
     done = [SchemeKind.TES, SchemeKind.SES, SchemeKind.SMS]
     ests = estimate_many(STIFF, done, ["x"], 11, 300, seed=0)
     assert [e.n_diverged for e in ests] == [300] * 3
-    assert streams[-1].counter == SEGMENT_STEPS < 1 << 11
+    assert streams[-1].counter == TILE_STEPS < 1 << 11
     # one scheme still stepping keeps the whole pass drawing
     ests = estimate_many(STIFF, done + [SchemeKind.STES], ["x"], 11, 300, seed=0)
     assert ests[-1].n_diverged == 0

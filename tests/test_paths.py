@@ -9,7 +9,8 @@ from scipy import stats
 
 from expsde.cli import CASES
 from expsde.montecarlo import estimate_many, simulate_paths
-from expsde.paths import KEY_BLOCK, GaussianStream, make_stream, philox_keys
+from expsde.paths import KEY_BLOCK, LANES, GaussianStream, make_stream, philox_keys
+from expsde.reference import NUMERICS_VERSION
 from expsde.schemes import SchemeKind, step
 from conftest import ZeroStream, path_terminal
 
@@ -108,16 +109,33 @@ def test_zero_stream():
     assert z.counter == 6
 
 
-# ------------------------------------------------ bulk keys, shared generator
+# ------------------------------------------------- bulk keys, lane groups
 
 fixed = settings(max_examples=200, derandomize=True, deadline=None)
 seeds = st.integers(min_value=0, max_value=2**160 - 1)
 
 
 def solo_draws(seed, trajectory, level, n):
-    """The stream drawn the plain numpy way, one generator per stream."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(trajectory, level))
-    return np.random.Generator(np.random.Philox(ss)).standard_normal(n)
+    """A trajectory's n draws alone, the plain numpy way: its lane of its
+    group's generator, drawn step-major."""
+    ss = np.random.SeedSequence(entropy=seed,
+                                spawn_key=(trajectory // LANES, level))
+    gen = np.random.Generator(np.random.Philox(ss))
+    return gen.standard_normal((n, LANES))[:, trajectory % LANES]
+
+
+def test_frozen_draws_guard_the_numerics_version():
+    # the first draws of a stream at a group's start and of one that starts
+    # mid-group (trajectory 100 is lane 36 of group 1): a change of the
+    # group layout or of LANES moves them, and must bump NUMERICS_VERSION
+    assert NUMERICS_VERSION == 2
+    assert make_stream(0, 0, 0, 2).standard_normals(3).tolist() == [
+        [1.2918689310096432, -0.7747184769507146, -1.1120936949965137],
+        [-0.22764034777211475, -0.23198549540129462, 0.9476266479587735]]
+    assert make_stream(7, 100, 5, 3).standard_normals(2).tolist() == [
+        [2.0609748208405296, -0.7925842821968117],
+        [0.0005258789842403124, 0.05724688089129253],
+        [0.2928580586524498, -0.9908974944253168]]
 
 
 @fixed
@@ -148,9 +166,12 @@ def test_bulk_keys_equal_seed_sequence(seed, trajectory, level):
                      min_size=1, max_size=4, unique=True),
        schedule=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 40)),
                          max_size=30))
+# neighbouring lanes of one group, and the last and first lanes of two
+@example(keys=[(1, 63, 2), (1, 64, 2), (1, 65, 2)],
+         schedule=[(0, 3), (1, 40), (2, 1), (0, 37), (2, 39)])
 def test_interleaved_calls_equal_solo_draws(keys, schedule):
     # widths up to 40 against 2^level <= 32: some calls run past the draws
-    # a path uses, after which the stream replays from its key
+    # a path uses, and every row goes on drawing its own lane
     streams = [make_stream(*key) for key in keys]
     drawn = [[] for _ in keys]
     for index, width in schedule:
@@ -167,6 +188,8 @@ def test_interleaved_calls_equal_solo_draws(keys, schedule):
 @given(seed=st.integers(0, 2**70), trajectory=st.integers(0, 2**40),
        level=st.integers(0, 6), counter=st.integers(0, 100),
        widths=st.lists(st.integers(0, 50), min_size=1, max_size=3))
+@example(seed=9, trajectory=LANES - 1, level=3, counter=7, widths=[2, 9])
+@example(seed=9, trajectory=LANES, level=3, counter=7, widths=[2, 9])
 def test_counter_fast_forward_equals_solo_draws(seed, trajectory, level,
                                                 counter, widths):
     stream = GaussianStream(seed, trajectory, level, counter=counter)
@@ -179,26 +202,37 @@ def test_counter_fast_forward_equals_solo_draws(seed, trajectory, level,
 # ------------------------------------------------------------ chunk streams
 
 def block_edge(block, offset):
-    """A start `offset` trajectories before the end of a key block."""
-    return max(0, (block + 1) * KEY_BLOCK - offset)
+    """A start `offset` trajectories before the end of a key block of
+    lane groups."""
+    return max(0, (block + 1) * KEY_BLOCK * LANES - offset)
+
+
+def group_edge(group, offset):
+    """A start `offset` trajectories before the end of a lane group."""
+    return max(0, (group + 1) * LANES - offset)
 
 
 starts = st.one_of(st.integers(0, 2**40),
-                   st.builds(block_edge, st.integers(0, 2**30), st.integers(0, 40)))
+                   st.builds(block_edge, st.integers(0, 2**24), st.integers(0, 40)),
+                   st.builds(group_edge, st.integers(0, 2**34), st.integers(0, 40)))
 
 
 @fixed
 @given(seed=st.integers(0, 2**70), start=starts, count=st.integers(1, 48),
        level=st.integers(0, 6),
        widths=st.lists(st.integers(0, 40), min_size=1, max_size=5))
-# runs that straddle a key block boundary, below and above 2^32
-@example(seed=3, start=KEY_BLOCK - 5, count=12, level=2, widths=[4, 3])
-@example(seed=0, start=2**32 - 7, count=16, level=4, widths=[16, 1])
-@example(seed=2**64, start=2**32 + KEY_BLOCK - 1, count=2, level=0,
+# runs that straddle a key block boundary, below and above a group index
+# of 2^32
+@example(seed=3, start=KEY_BLOCK * LANES - 5, count=12, level=2, widths=[4, 3])
+@example(seed=0, start=2**32 * LANES - 7, count=16, level=4, widths=[16, 1])
+@example(seed=2**64, start=(2**32 + KEY_BLOCK) * LANES - 1, count=2, level=0,
          widths=[0, 1, 2])
+# runs that straddle one and two lane-group boundaries
+@example(seed=3, start=KEY_BLOCK - 5, count=12, level=2, widths=[4, 3])
+@example(seed=5, start=LANES - 3, count=LANES + 6, level=3, widths=[5, 2])
 def test_chunk_rows_equal_one_row_streams(seed, start, count, level, widths):
     # widths up to 40 against 2^level <= 64: some calls run past the draws
-    # a path uses, after which every row replays from its key
+    # a path uses, and every row goes on drawing its own lane
     chunk = make_stream(seed, start, level, count)
     rows = [make_stream(seed, start + i, level) for i in range(count)]
     parts = []
@@ -219,6 +253,8 @@ def test_chunk_rows_equal_one_row_streams(seed, start, count, level, widths):
 @given(seed=st.integers(0, 2**70), start=starts, count=st.integers(1, 24),
        level=st.integers(0, 6), counter=st.integers(0, 100),
        widths=st.lists(st.integers(0, 50), min_size=1, max_size=3))
+@example(seed=2, start=LANES - 10, count=20, level=1, counter=33,
+         widths=[3, 0, 8])
 def test_chunk_counter_fast_forwards_every_row(seed, start, count, level,
                                                counter, widths):
     chunk = GaussianStream(seed, start, level, count, counter=counter)
@@ -231,7 +267,7 @@ def test_chunk_counter_fast_forwards_every_row(seed, start, count, level,
 @pytest.mark.parametrize("case, kind", [("case1", SchemeKind.ExpES),
                                         ("case2", SchemeKind.TES)])
 def test_ensemble_chunks_equal_one_row_paths(case, kind):
-    # a partial last chunk (4096 + 37 paths) and two draw segments (p = 11):
+    # a partial last chunk (4096 + 37 paths) and 64 draw tiles (p = 11):
     # every terminal the ensemble sees is that of its own one-row path
     model, p, n, seed = CASES[case], 11, KEY_BLOCK + 37, 4
     seen = []
