@@ -130,6 +130,25 @@ def _default_fit_range(p_list):
     return lo, hi
 
 
+def _sweep_cells(model, kinds, fs, refs, p_list, n, seed, workers):
+    """tables[j][i], the weak-error table of fs[j] under kinds[i], from one
+    weak_error_sweep over every cell.  A domain failure is retried one
+    scheme at a time, then one cell at a time, so that it lands on the
+    cells it belongs to alone: their entry is its message instead."""
+    try:
+        return weak_error_sweep(model, kinds, fs, p_list, n, refs, seed,
+                                workers=workers)
+    except _CELL_ERRORS as exc:
+        if len(kinds) > 1:
+            per_kind = [_sweep_cells(model, [kind], fs, refs, p_list, n, seed, workers)
+                        for kind in kinds]
+            return [[t[j][0] for t in per_kind] for j in range(len(fs))]
+        if len(fs) > 1:
+            return [_sweep_cells(model, kinds, [f], [ref], p_list, n, seed, workers)[0]
+                    for f, ref in zip(fs, refs)]
+        return [[str(exc)]]
+
+
 def build_case_table(cases, schemes, test_functions, p_list, n, seed,
                      n0=None, p_ref=None, workers: int = 1, cache_dir=None,
                      use_cache: bool = True, fit_p_min: Optional[int] = None,
@@ -140,12 +159,12 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
     fine-grid MC references of a case are resolved in one call, which
     simulates one reference ensemble for every test function the cache does
     not hold; each is shared across schemes, and so is the sweep: one
-    weak_error_sweep steps every scheme of a (case, test function) on one
-    pass of draws per level.  Every ensemble of the table runs on one
-    worker_pool.  A domain failure (unreliable reference, all
-    paths diverged, a ValueError from the model or the inputs, too few
-    usable rows) is recorded on the affected cells and never aborts the
-    rest of the table; any other exception propagates.
+    weak_error_sweep steps every scheme of a case on one pass of draws per
+    level and applies every test function to those paths.  Every ensemble
+    of the table runs on one worker_pool.  A domain failure (unreliable
+    reference, all paths diverged, a ValueError from the model or the
+    inputs, too few usable rows) is recorded on the affected cells and
+    never aborts the rest of the table; any other exception propagates.
 
     The fit range defaults to [2, 7] clipped to p_list.
     """
@@ -176,38 +195,34 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
                 # the failure may be one test function's: resolve each on
                 # its own so that it lands on that function's cells alone
                 refs = [None] * len(test_functions)
-            for f, ref in zip(test_functions, refs):
-                if ref is None:
+            ref_errors = {}
+            for j, f in enumerate(test_functions):
+                if refs[j] is None:
                     try:
-                        ref = fine_grid_reference(model, f, **ref_options)
+                        refs[j] = fine_grid_reference(model, f, **ref_options)
                     except _CELL_ERRORS as exc:
-                        cells += [CaseCell(name, kind, f, None, None, None,
-                                           f"reference failed: {exc}")
-                                  for kind in kinds]
+                        ref_errors[j] = f"reference failed: {exc}"
+            good = [j for j in range(len(test_functions)) if j not in ref_errors]
+            tables = dict(zip(good, _sweep_cells(
+                model, kinds, [test_functions[j] for j in good],
+                [refs[j] for j in good], list(p_list), n, seed, workers)
+                if good else []))
+            for j, f in enumerate(test_functions):
+                if j in ref_errors:
+                    cells += [CaseCell(name, kind, f, None, None, None, ref_errors[j])
+                              for kind in kinds]
+                    continue
+                for kind, table in zip(kinds, tables[j]):
+                    if isinstance(table, str):
+                        cells.append(CaseCell(name, kind, f, refs[j], None, None, table))
                         continue
-                try:
-                    tables = weak_error_sweep(model, kinds, f, list(p_list), n,
-                                              ref, seed, workers=workers)
-                except _CELL_ERRORS:
-                    # the failure may be one scheme's: sweep each on its own
-                    # so that it lands on that scheme's cell alone
-                    tables = [None] * len(kinds)
-                for kind, table in zip(kinds, tables):
-                    if table is None:
-                        try:
-                            table = weak_error_sweep(model, kind, f, list(p_list),
-                                                     n, ref, seed, workers=workers)
-                        except _CELL_ERRORS as exc:
-                            cells.append(CaseCell(name, kind, f, ref, None, None,
-                                                  str(exc)))
-                            continue
                     fit = None
                     note = None
                     try:
                         fit = fit_rate(table, lo, hi)
                     except InsufficientDataError as exc:
                         note = str(exc)
-                    cells.append(CaseCell(name, kind, f, ref, table, fit, note))
+                    cells.append(CaseCell(name, kind, f, refs[j], table, fit, note))
     return CaseTableReport(cells=tuple(cells), p_list=tuple(p_list),
                            fit_range=(lo, hi))
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import math
 import sys
 from dataclasses import dataclass, field, fields
@@ -428,8 +429,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: building it costs milliseconds,
+    and parsing leaves it as it was (repeatable flags append to a fresh
+    list in the namespace of each parse)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -4,7 +4,9 @@
 
 where the drift is dominated by B1*x - B2*x^(2*alpha-1) + b(0).
 
-PrototypeModel fixes the polynomial drift b(x) = b0 + b1*x - b2*x^(2*alpha-1).
+PrototypeModel fixes the polynomial drift b(x) = b0 + b1*x - b2*x^(2*alpha-1);
+its drift_slope method gives the scheme kernels that drift in closed form
+from the one power x^(alpha-1) of a step (see drift_eval).
 GeneralDriftModel wraps an arbitrary drift callable plus declared growth
 metadata.  check_hypotheses evaluates the sufficient parameter conditions for
 weak order one of the exponential scheme and reports the slack kappa.
@@ -91,6 +93,20 @@ class PrototypeModel:
         if self.b1 == 0.0:
             return self.b0 - power
         return self.b0 + self.b1 * x - power
+
+    def drift_slope(self, xa1, ito=0.0):
+        """b1 - (b2 + ito)*xa1^2 as a new array, from xa1 = x^(alpha-1).
+
+        This is (b(x) - b0)/x - ito*x^(2*alpha-2) in closed form, with no
+        power of its own: x^(2*alpha-1) = x*xa1^2, so the ratio is
+        b1 - b2*xa1^2 (b1 at x = 0).  drift_eval builds b(x) and the
+        exponential schemes' exponent coefficient from it.  With b1 = 0 the
+        b1 term is skipped, which changes at most the sign of a zero."""
+        out = np.multiply(xa1, xa1)
+        np.multiply(-(self.b2 + ito), out, out=out)
+        if self.b1 != 0.0:
+            np.add(self.b1, out, out=out)
+        return out
 
 
 @dataclass(frozen=True)
@@ -201,19 +217,50 @@ class HypothesisReport:
     notes: tuple = ()
 
 
-def drift_eval(model, x):
+def drift_eval(model, x, xa1=None, ito=None):
     """The model's drift b(x), vectorized over x (a float in, a float out).
 
     For the prototype, powers use IEEE semantics: 0 maps to 0, an
     integer-valued exponent of a negative base stays real, and a fractional
     power of a negative base is NaN (downstream code treats that as
     divergence).
+
+    The scheme kernels also pass xa1 = x^(alpha-1) of an ndarray x, and,
+    for the exponential schemes, ito = sigma^2/2; they call it inside
+    their own np.errstate.  With ito the result is the exponent
+    coefficient (b(x) - b(0))/x - ito*xa1^2 instead of b(x).  A model with
+    a drift_slope(xa1, ito) method (PrototypeModel) gives both in closed
+    form from xa1, b(x) as b(0) + x*drift_slope(xa1), with no power of its
+    own; that form is finite at x = 0, where the ratio is b1.  Any other
+    model is evaluated through its drift(x), and the coefficient as
+    (b(x) - b(0))/x - (ito*xa1)*xa1, which is NaN at x = 0.  The result is
+    a new array, except that drift(x) may return x itself.
     """
-    xv = np.asarray(x, dtype=np.float64)
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = model.drift(xv)
-    if out.ndim == 0:
-        return float(out)
+    if xa1 is None:
+        xv = np.asarray(x, dtype=np.float64)
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = model.drift(xv)
+        if out.ndim == 0:
+            return float(out)
+        return out
+    b0 = model.b_at_zero
+    slope = getattr(model, "drift_slope", None)
+    if slope is not None:
+        if ito is not None:
+            return slope(xa1, ito)
+        out = slope(xa1)
+        np.multiply(x, out, out=out)
+        if b0 != 0.0:
+            np.add(b0, out, out=out)
+        return out
+    b = model.drift(x)
+    if ito is None:
+        return b
+    # a zero b(0) is not subtracted: b - 0 is b exactly
+    out = np.divide(np.subtract(b, b0) if b0 != 0.0 else b, x)
+    correction = np.multiply(ito, xa1)
+    np.multiply(correction, xa1, out=correction)
+    np.subtract(out, correction, out=out)
     return out
 
 

@@ -450,8 +450,12 @@ def weak_error_sweep(model, kind, f, p_list, n, reference, seed,
 
     kind is one SchemeKind, giving one WeakErrorTable, or a nonempty
     sequence of them, giving a list with one table per entry, each equal to
-    the table of that kind swept alone.  At each level every scheme steps
-    the same paths on the same increments, drawn once (see estimate_many);
+    the table of that kind swept alone.  Likewise f is one test function
+    measured against reference, or a nonempty sequence of them with a
+    sequence of as many references, giving a list with one entry per test
+    function, each equal to what sweeping that function alone gives.  At
+    each level one estimate_many call steps every scheme on the same paths
+    and increments, drawn once, and applies every test function to them;
     ensembles at different levels are independent (the level is part of
     the stream key).  A row is marked diverged when more than
     MARKER_FRACTION of its trajectories diverged or its mean is non-finite;
@@ -460,25 +464,31 @@ def weak_error_sweep(model, kind, f, p_list, n, reference, seed,
     if not p_list:
         raise ValueError("p_list must be nonempty")
     kinds = _scheme_kinds(kind)
-    rows = [[] for _ in kinds]
+    one_f = isinstance(f, str) or callable(f)
+    fs, refs = ([f], [reference]) if one_f else (list(f), list(reference))
+    if len(refs) != len(fs):
+        raise ValueError(f"{len(fs)} test functions but {len(refs)} references")
+    rows = [[[] for _ in kinds] for _ in fs]
     for p in p_list:
-        ests = estimate_many(model, kinds, [f], p, n, seed, workers=workers)
-        for kind_rows, est in zip(rows, ests):
-            marked = (est.n_diverged > MARKER_FRACTION * est.n_requested
-                      or not math.isfinite(est.mean))
-            abs_error = None
-            if not marked:
-                abs_error = abs(est.mean - reference.value)
-            kind_rows.append(WeakErrorRow(
-                p=p,
-                dt=model.horizon / (1 << p),
-                estimate=est,
-                reference=reference,
-                abs_error=abs_error,
-                diverged=marked,
-            ))
-    tables = [WeakErrorTable(rows=tuple(r)) for r in rows]
-    return tables[0] if isinstance(kind, SchemeKind) else tables
+        # kind-major: the estimate of (kinds[i], fs[j]) is ests[i * len(fs) + j]
+        ests = iter(estimate_many(model, kinds, fs, p, n, seed, workers=workers))
+        for i in range(len(kinds)):
+            for f_rows, ref in zip(rows, refs):
+                est = next(ests)
+                marked = (est.n_diverged > MARKER_FRACTION * est.n_requested
+                          or not math.isfinite(est.mean))
+                f_rows[i].append(WeakErrorRow(
+                    p=p,
+                    dt=model.horizon / (1 << p),
+                    estimate=est,
+                    reference=ref,
+                    abs_error=None if marked else abs(est.mean - ref.value),
+                    diverged=marked,
+                ))
+    tables = [[WeakErrorTable(rows=tuple(r)) for r in f_rows] for f_rows in rows]
+    if isinstance(kind, SchemeKind):
+        tables = [f_tables[0] for f_tables in tables]
+    return tables[0] if one_f else tables
 
 
 def moment_sweep(model, kind, orders, p, n, seed, workers: int = 1):

@@ -52,7 +52,7 @@ MAX_REF_DIVERGED_FRACTION = 1e-3
 # engine).  It is part of the cache key, so a change that moves any
 # simulated value bumps it and no reference the old numerics produced is
 # served.
-NUMERICS_VERSION = 2
+NUMERICS_VERSION = 3
 
 
 class ReferenceMethod(enum.Enum):

@@ -12,8 +12,26 @@ Seven schemes for dX = b(X) dt + sigma X^alpha dW:
   STES              X + inc/(1 + inc^2) * 1{|X| < exp(sqrt|ln dt|)},
                     inc = b(X) dt + sigma X^a dW
 
-The kernels read only alpha, sigma, b_at_zero and the vectorized drift of
-the model (through drift_eval), so any model offering those runs.
+Each step takes one power, xa1 = X^(a-1), and builds the others from it:
+X^a = X xa1 and X^(2a-1) = X^a xa1.  The kernels read alpha, sigma and
+b_at_zero of the model and get the drift through drift_eval(model, X, xa1),
+so any model offering those and a vectorized drift(x) runs.  A model with a
+drift_slope(xa1, ito) method, PrototypeModel, takes no power of its own
+there: for b(x) = b0 + b1 x - b2 x^(2a-1),
+
+  (b(X) - b0)/X = b1 - b2 xa1^2          and  b(X) = b0 + X (b1 - b2 xa1^2),
+
+and the exponential schemes fold the Ito term into the coefficient:
+
+  ExpES             b0 dt + X exp{(sigma xa1) dW + c dt},  c = b1 - (b2 + sigma^2/2) xa1^2
+  ExplicitExpEuler  X exp{(sigma xa1) dW + (c + b0/X) dt}
+
+Any other model's c is (b(X) - b(0))/X - (sigma^2/2 xa1) xa1, from its
+drift(X).  The zero state: with the closed form c is b1 at X = 0, so both
+exponential schemes keep X = 0 at exactly 0, and alive, when b0 = 0 (the
+SDE's own absorbing state, where b(0) = 0 and sigma 0^a = 0); exp-es steps
+it to b0 dt.  A drift(x) model's c is 0/0 = NaN there, and the path
+diverges.
 
 All power evaluations use IEEE semantics (np.power): fractional powers of a
 negative state are NaN and the trajectory counts as diverged.  A state is
@@ -29,6 +47,7 @@ for bit.  Whole paths are stepped by montecarlo.simulate_paths.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 
 import numpy as np
@@ -62,67 +81,69 @@ class SchemeKind(enum.Enum):
 
 
 # ---------------------------------------------------------------- kernels
+#
+# Each kernel receives xa1 = x^(alpha-1), the one power of the step, as a
+# new array it may overwrite; x, dw and the drift's value are never written.
 
-def _exp_kernel(model, x, dt, dw, shift_b0):
-    """Shared exponential update.  With shift_b0 the drift ratio uses
-    b(X) - b(0) and the additive b(0)dt term is appended; without it this
-    is the plain explicit exponential scheme.  When b(0) = 0 the two are
-    bitwise identical.
+def _exp_kernel(model, x, xa1, dt, dw, shift_b0):
+    """Shared exponential update.  With shift_b0 the exponent uses
+    (b(X) - b(0))/X and the additive b(0)dt term is appended; without it
+    this is the plain explicit exponential scheme, whose b(X)/X adds b(0)/X.
+    When b(0) = 0 the two are bitwise identical.
 
     The operations and their order are those of
-        b(0)dt + x exp(sigma xa1 dw + ((b - b(0))/x - (sigma^2/2) xa1 xa1) dt)
-    with xa1 = x^(alpha-1), evaluated into three arrays the kernel
-    allocates itself: x, dw and the drift's value (which may be x itself)
-    are never written.  The first of them is returned.  A zero b(0) is not
-    subtracted, since b - 0 is b exactly; it is still added, since 0 + v
-    is not v for v = -0 (a negative state whose exponential underflows)."""
+        b(0)dt + x exp((sigma xa1) dw + c dt),  c = (b - b(0))/x - (sigma^2/2) xa1^2,
+    c as drift_eval gives it.  A zero b(0) is still added, since 0 + v is
+    not v for v = -0 (a negative state whose exponential underflows)."""
     b0 = model.b_at_zero
-    half_s2 = 0.5 * model.sigma * model.sigma
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = np.power(x, model.alpha - 1.0)  # xa1, until it becomes expo
-        correction = np.multiply(half_s2, out)
-        np.multiply(correction, out, out=correction)
-        np.multiply(model.sigma, out, out=out)
-        np.multiply(out, dw, out=out)
-        b = drift_eval(model, x)
-        if shift_b0 and b0 != 0.0:
-            ratio = np.subtract(b, b0)
-            np.divide(ratio, x, out=ratio)
-        else:
-            ratio = np.divide(b, x)
-        np.subtract(ratio, correction, out=ratio)
-        np.multiply(ratio, dt, out=ratio)
-        np.add(out, ratio, out=out)
-        np.exp(out, out=out)
-        np.multiply(x, out, out=out)
-        if shift_b0:
-            np.add(b0 * dt, out, out=out)
+    coef = drift_eval(model, x, xa1, ito=0.5 * model.sigma * model.sigma)
+    if not shift_b0 and b0 != 0.0:
+        np.add(coef, np.divide(b0, x), out=coef)
+    np.multiply(coef, dt, out=coef)
+    out = xa1  # becomes the exponent, then the result
+    np.multiply(model.sigma, out, out=out)
+    np.multiply(out, dw, out=out)
+    np.add(out, coef, out=out)
+    np.exp(out, out=out)
+    np.multiply(x, out, out=out)
+    if shift_b0:
+        np.add(b0 * dt, out, out=out)
     return out
 
 
-def _ses_kernel(model, x, dt, dw, milstein=None):
+def _ses_kernel(model, x, xa1, dt, dw, milstein=None):
     """SES, or with milstein a factor the Milstein correction coefficient
     alpha*sigma^2 is scaled by (1.0 for sms, 0.5 for sms-half)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        inner = x + drift_eval(model, x) * dt + model.sigma * np.power(x, model.alpha) * dw
-        if milstein is not None:
-            coeff = (model.alpha * model.sigma * model.sigma) * milstein
-            inner = inner + coeff * np.power(x, 2.0 * model.alpha - 1.0) * (dw * dw - dt)
-        return np.abs(inner)
+    b = drift_eval(model, x, xa1)
+    xa = x * xa1
+    inner = x + b * dt + model.sigma * xa * dw
+    if milstein is not None:
+        coeff = (model.alpha * model.sigma * model.sigma) * milstein
+        inner = inner + coeff * (xa * xa1) * (dw * dw - dt)
+    return np.abs(inner, out=inner)
 
 
-def _tes_kernel(model, x, dt, dw):
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d = drift_eval(model, x)
-        return x + d * dt / (1.0 + np.abs(d) * dt) + model.sigma * np.power(x, model.alpha) * dw
+def _tes_kernel(model, x, xa1, dt, dw):
+    d = drift_eval(model, x, xa1)
+    return x + d * dt / (1.0 + np.abs(d) * dt) + model.sigma * (x * xa1) * dw
 
 
-def _stes_kernel(model, x, dt, dw):
-    with np.errstate(over="ignore", invalid="ignore"):
-        inc = drift_eval(model, x) * dt + model.sigma * np.power(x, model.alpha) * dw
-        threshold = math.exp(math.sqrt(abs(math.log(dt))))
-        keep = np.abs(x) < threshold
-        return x + np.where(keep, inc / (1.0 + inc * inc), 0.0)
+def _stes_kernel(model, x, xa1, dt, dw):
+    inc = drift_eval(model, x, xa1) * dt + model.sigma * (x * xa1) * dw
+    threshold = math.exp(math.sqrt(abs(math.log(dt))))
+    keep = np.abs(x) < threshold
+    return x + np.where(keep, inc / (1.0 + inc * inc), 0.0)
+
+
+_KERNELS = {
+    SchemeKind.ExpES: functools.partial(_exp_kernel, shift_b0=True),
+    SchemeKind.ExplicitExpEuler: functools.partial(_exp_kernel, shift_b0=False),
+    SchemeKind.SES: _ses_kernel,
+    SchemeKind.SMS: functools.partial(_ses_kernel, milstein=1.0),
+    SchemeKind.SMSHalf: functools.partial(_ses_kernel, milstein=0.5),
+    SchemeKind.TES: _tes_kernel,
+    SchemeKind.STES: _stes_kernel,
+}
 
 
 def alive(values):
@@ -133,22 +154,13 @@ def alive(values):
 
 def step_values(kind: SchemeKind, model, x, dt, dw):
     """Apply one update of the chosen scheme to an ndarray of states (one
-    state goes through step)."""
-    if kind is SchemeKind.ExpES:
-        return _exp_kernel(model, x, dt, dw, shift_b0=True)
-    if kind is SchemeKind.ExplicitExpEuler:
-        return _exp_kernel(model, x, dt, dw, shift_b0=False)
-    if kind is SchemeKind.SES:
-        return _ses_kernel(model, x, dt, dw)
-    if kind is SchemeKind.SMS:
-        return _ses_kernel(model, x, dt, dw, milstein=1.0)
-    if kind is SchemeKind.SMSHalf:
-        return _ses_kernel(model, x, dt, dw, milstein=0.5)
-    if kind is SchemeKind.TES:
-        return _tes_kernel(model, x, dt, dw)
-    if kind is SchemeKind.STES:
-        return _stes_kernel(model, x, dt, dw)
-    raise ValueError(f"unhandled scheme kind {kind!r}")
+    state goes through step).  The result is a new array."""
+    try:
+        kernel = _KERNELS[kind]
+    except KeyError:
+        raise ValueError(f"unhandled scheme kind {kind!r}") from None
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        return kernel(model, x, np.power(x, model.alpha - 1.0), dt, dw)
 
 
 # ------------------------------------------------------------- scalar step

@@ -9,8 +9,10 @@ return for the same seed (test_acceptance asserts this at small size).
 Only the acceptance module requests these fixtures, so unit-test runs
 never pay for them.
 
-Also here: ZeroStream, a stream fake whose draws are all zero, and
-path_terminal, the terminal of one path stepped by simulate_paths.
+Also here: STEP_AGREEMENT, the per-step bound between the closed-form
+kernels and the power forms they replaced; ZeroStream, a stream fake whose
+draws are all zero; and path_terminal, the terminal of one path stepped by
+simulate_paths.
 """
 
 import numpy as np
@@ -27,6 +29,11 @@ REFERENCE_P = 12
 SWEEP_N = 10**5
 SWEEP_P = list(range(2, 8))
 MASTER_SEED = 0
+# the relative distance by which one step of a closed-form kernel may
+# differ from the same step written with a power per term (measured on
+# test_lean_paths' state grid: at most 3.6e-15); after k steps a path or a
+# mean may differ by up to k times this
+STEP_AGREEMENT = 8e-15
 
 
 class ZeroStream:

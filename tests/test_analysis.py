@@ -141,7 +141,9 @@ def test_single_cell_is_sweep_plus_fit():
 
 
 def test_reference_failure_recorded_not_raised():
-    blow = PrototypeModel(b0=0.0, b1=100.0, b2=0.0, sigma=0.1, alpha=1.5)
+    # with alpha = 1.125 the Ito damping sigma^2/2 x^(1/4) stays far below
+    # b1 = 100 up to the cap, so every exp-es reference path grows past it
+    blow = PrototypeModel(b0=0.0, b1=100.0, b2=0.0, sigma=0.1, alpha=1.125)
     report = small_report(cases={"case1": CASE1, "blow": blow})
     bad = report.cell("blow", "exp-es", "x")
     assert bad.table is None
@@ -190,6 +192,31 @@ def test_one_schemes_failure_lands_on_its_cell_alone():
     assert good.error is None
     alone = small_report(cases={"refusing": model}, schemes=[SchemeKind.ExpES])
     assert good == alone.cell("refusing", "exp-es", "x")
+
+
+def _x_refusing_negative_terminals(x):
+    if np.any(x < 0.0):
+        raise ValueError("negative terminal")
+    return x
+
+
+def test_one_cells_failure_lands_on_it_alone():
+    # tes keeps the negative states it reaches on case2 at p = 2 as frozen
+    # terminals, which this test function refuses: only the (tes, refusing)
+    # cell fails; the sweep of every cell at once falls back per scheme,
+    # then per cell
+    fs = ["x", _x_refusing_negative_terminals]
+    kinds = [SchemeKind.ExpES, SchemeKind.TES]
+    report = small_report(cases={"case2": CASE2}, schemes=kinds,
+                          test_functions=fs, p_list=[2, 3])
+    bad = report.cell("case2", "tes", _x_refusing_negative_terminals)
+    assert bad.table is None and bad.error == "negative terminal"
+    for f in fs:
+        for kind in kinds:
+            if (kind, f) != (SchemeKind.TES, _x_refusing_negative_terminals):
+                alone = small_report(cases={"case2": CASE2}, schemes=[kind],
+                                     test_functions=[f], p_list=[2, 3])
+                assert report.cell("case2", kind, f) == alone.cell("case2", kind, f)
 
 
 def test_divergent_rows_leave_fit_note():

@@ -538,6 +538,27 @@ def test_reference_no_closed_form_notice(capsys):
     assert "no closed form" in err
 
 
+def test_shared_parser_keeps_no_option_between_calls(tmp_path, capsys):
+    # main parses with one parser per process; two calls with different
+    # repeatable --scheme/--test-fn lists write what two processes write
+    assert cli._shared_parser() is cli._shared_parser()
+    calls = [["compare", "--case", "case2", "--scheme", "ses", "--scheme", "tes",
+              "--test-fn", "x2", "--p-min", "2", "--p-max", "3", "--no-cache"] + FAST,
+             ["compare", "--case", "case2", "--scheme", "exp-es",
+              "--p-min", "2", "--p-max", "3", "--no-cache"] + FAST]
+    in_process = [run(argv, capsys)[:2] for argv in calls]
+    src = str(Path(expsde.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    separate = []
+    for argv in calls:
+        proc = subprocess.run([sys.executable, "-m", "expsde"] + argv, cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        separate.append((proc.returncode, proc.stdout))
+    assert in_process == separate
+    assert in_process[0][1].count("\n") == 3 and ",exp-es," in in_process[1][1]
+
+
 def test_import_leaves_scipy_unloaded():
     # spawned workers (off Linux) import the package; scipy is only needed
     # by the quadrature, which no worker runs

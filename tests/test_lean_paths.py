@@ -2,9 +2,12 @@
 
 Each fast path must give the values of the plain form it replaces, bit for
 bit: a stream drawn over many calls against the same stream drawn in one;
-the drift and every kernel against their textbook formulas; the all-alive
-step test against the per-column engine in test_engine_tiles, also when a
-path first diverges late.
+the drift and every kernel against their textbook formulas, the closed
+forms from the one power x^(alpha-1) that the schemes module docstring
+gives; the all-alive step test against the per-column engine in
+test_engine_tiles, also when a path first diverges late.  The closed forms
+in turn agree with the power forms of numerics version 2, a power per
+term, to a few ulps per step.
 """
 
 import math
@@ -17,6 +20,7 @@ from expsde.models import GeneralDriftModel, PrototypeModel, drift_eval
 from expsde.montecarlo import TILE_STEPS, simulate_paths
 from expsde.paths import KEY_BLOCK, LANES, GaussianStream, make_stream
 from expsde.schemes import SchemeKind, step_values
+from conftest import STEP_AGREEMENT
 from test_engine_tiles import column_oracle
 
 
@@ -60,9 +64,9 @@ def textbook_drift(model, x):
     return model.b0 + model.b1 * x - model.b2 * np.power(x, 2.0 * model.alpha - 1.0)
 
 
-def textbook_step(kind, model, x, dt, dw):
-    """Each update rule as written in the schemes module docstring, with the
-    polynomial drift in full."""
+def power_form_step(kind, model, x, dt, dw):
+    """Each update rule with the polynomial drift in full and a power per
+    term: the kernels of numerics version 2."""
     a, s, b0 = model.alpha, model.sigma, model.b0
     b = textbook_drift(model, x)
     xa1 = np.power(x, a - 1.0)
@@ -84,6 +88,47 @@ def textbook_step(kind, model, x, dt, dw):
     return x + np.where(keep, inc / (1.0 + inc * inc), 0.0)
 
 
+def closed_slope(model, xa1, ito=0.0):
+    """(b(x) - b0)/x - ito*xa1^2 = b1 - (b2 + ito)*xa1^2, the b1 term
+    skipped when it is 0."""
+    v = -(model.b2 + ito) * (xa1 * xa1)
+    return model.b1 + v if model.b1 != 0.0 else v
+
+
+def closed_drift(model, x, xa1):
+    """b(x) = b0 + x*(b1 - b2*xa1^2), the b0 term skipped when it is 0."""
+    v = x * closed_slope(model, xa1)
+    return model.b0 + v if model.b0 != 0.0 else v
+
+
+def closed_form_step(kind, model, x, dt, dw):
+    """Each update rule as the schemes module docstring writes it, from the
+    one power xa1 = x^(alpha-1): x^alpha is x*xa1 and x^(2alpha-1) is
+    x^alpha*xa1."""
+    a, s, b0 = model.alpha, model.sigma, model.b0
+    xa1 = np.power(x, a - 1.0)
+    if kind in (SchemeKind.ExpES, SchemeKind.ExplicitExpEuler):
+        c = closed_slope(model, xa1, 0.5 * s * s)
+        if kind is SchemeKind.ExpES:
+            return b0 * dt + x * np.exp(s * xa1 * dw + c * dt)
+        if b0 != 0.0:
+            c = c + b0 / x
+        return x * np.exp(s * xa1 * dw + c * dt)
+    b = closed_drift(model, x, xa1)
+    xa = x * xa1
+    if kind in (SchemeKind.SES, SchemeKind.SMS, SchemeKind.SMSHalf):
+        inner = x + b * dt + s * xa * dw
+        if kind is not SchemeKind.SES:
+            factor = 1.0 if kind is SchemeKind.SMS else 0.5
+            inner = inner + (a * s * s) * factor * (xa * xa1) * (dw * dw - dt)
+        return np.abs(inner)
+    if kind is SchemeKind.TES:
+        return x + b * dt / (1.0 + np.abs(b) * dt) + s * xa * dw
+    inc = b * dt + s * xa * dw
+    keep = np.abs(x) < math.exp(math.sqrt(abs(math.log(dt))))
+    return x + np.where(keep, inc / (1.0 + inc * inc), 0.0)
+
+
 MODELS = {
     "b0>0": PrototypeModel(b0=0.7, b1=0.0, b2=2.0, sigma=0.3, alpha=1.5),
     "b0,b1>0": CASES["case4"],
@@ -96,17 +141,74 @@ MODELS = {
 STATES = np.array([0.0, -0.0, -1e12, -3.5, -1.0, -5e-324, 5e-324, 2.2e-310,
                    1e-8, 0.5, 1.0, 2.0, 1e6, 1e12])
 DWS = np.tile([0.3, -0.7, 0.0, 1.9, -2.5, 0.01, -0.2], 2)
+EXPONENTIAL = (SchemeKind.ExpES, SchemeKind.ExplicitExpEuler)
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_drift_and_kernels_equal_textbook_formulas(name):
     model = MODELS[name]
     with np.errstate(all="ignore"):
+        xa1 = np.power(STATES, model.alpha - 1.0)
         assert same_bits(drift_eval(model, STATES), textbook_drift(model, STATES))
+        assert same_bits(drift_eval(model, STATES, xa1), closed_drift(model, STATES, xa1))
         for dt in (2.0 ** -6, 0.5):
             for kind in SchemeKind:
                 got = step_values(kind, model, STATES, dt, DWS)
-                assert same_bits(got, textbook_step(kind, model, STATES, dt, DWS)), kind
+                assert same_bits(got, closed_form_step(kind, model, STATES, dt, DWS)), kind
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_closed_forms_agree_with_power_forms(name):
+    # the closed forms move each step by at most STEP_AGREEMENT relative,
+    # and change no state's finiteness but the zero states of exp-es, and
+    # of explicit-exp-euler when b0 = 0 (test_zero_state_stays_zero_and_alive)
+    model = MODELS[name]
+    zero = STATES == 0.0
+    with np.errstate(all="ignore"):
+        for dt in (2.0 ** -6, 0.5):
+            for kind in SchemeKind:
+                got = step_values(kind, model, STATES, dt, DWS)
+                want = power_form_step(kind, model, STATES, dt, DWS)
+                finite = np.isfinite(got)
+                if kind is SchemeKind.ExpES or (kind in EXPONENTIAL and model.b0 == 0.0):
+                    # at +0 the power form's (b - b0)/x or b/x is 0/0
+                    assert np.isnan(want[0]) and finite[zero].all(), kind
+                    finite, want_finite = finite[~zero], np.isfinite(want[~zero])
+                    got, want = got[~zero], want[~zero]
+                else:
+                    want_finite = np.isfinite(want)
+                assert np.array_equal(finite, want_finite), kind
+                # relative, or below the normal range as far as it reaches
+                scale = np.maximum(np.abs(want[finite]), np.finfo(np.float64).tiny)
+                assert (np.abs(got[finite] - want[finite])
+                        <= STEP_AGREEMENT * scale).all(), kind
+
+
+@pytest.mark.parametrize("kind", EXPONENTIAL, ids=lambda k: k.value)
+def test_zero_state_stays_zero_and_alive(kind):
+    # with b0 = 0 the state 0 is the SDE's absorbing state: b(0) = 0 and
+    # sigma*0^alpha = 0.  The closed form's ratio is b1 at 0, so the step
+    # keeps it, where (b(0) - b(0))/0 made NaN.  Here one huge negative
+    # increment underflows every path to exactly 0 at step 3
+    for name in ("b1>0", "zero", "zero, alpha 3", "zero, alpha 1.125"):
+        model = MODELS[name]
+        zeros = np.zeros(len(DWS))
+        for dt in (2.0 ** -6, 0.5):
+            out = step_values(kind, model, zeros, dt, DWS)
+            assert same_bits(out, zeros), (name, dt)
+        draws = np.full((3, 8), 0.5)
+        draws[:, 2] = -1e200
+        pairs = list(simulate_paths(model, kind, 3, ArrayStream(draws)))
+        for k, (x, div) in enumerate(pairs):
+            assert not div.any(), (name, k)
+            assert (x > 0.0).all() if k < 3 else (x == 0.0).all(), (name, k)
+    # with b0 > 0 exp-es steps from 0 to b0*dt, as from any state near it
+    model = MODELS["b0>0"]
+    out = step_values(kind, model, np.zeros(2), 0.25, np.array([0.3, -0.3]))
+    if kind is SchemeKind.ExpES:
+        assert out.tolist() == [model.b0 * 0.25] * 2
+    else:
+        assert np.isnan(out).all()
 
 
 def test_identity_drift_is_never_written():

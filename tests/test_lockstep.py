@@ -65,6 +65,69 @@ def test_lockstep_sweep_equals_one_table_per_kind():
     assert one == [weak_error_sweep(STIFF, SchemeKind.TES, "x", [2], 300, ref, seed=1)]
 
 
+def test_sweep_of_several_test_functions_equals_one_per_function():
+    # a sequence of test functions with one reference each gives one entry
+    # per function, each what sweeping it alone gives
+    fs, refs = ["x", "inv_x", "x"], [SimpleNamespace(value=v) for v in (0.3, 2.0, 0.5)]
+    for kind in (SchemeKind.TES, [SchemeKind.ExpES, SchemeKind.TES]):
+        tables = weak_error_sweep(CASES["case2"], kind, fs, [2, 3], 300, refs, seed=4)
+        alone = [weak_error_sweep(CASES["case2"], kind, f, [2, 3], 300, ref, seed=4)
+                 for f, ref in zip(fs, refs)]
+        assert repr(tables) == repr(alone)
+    with pytest.raises(ValueError, match="references"):
+        weak_error_sweep(CASES["case2"], SchemeKind.TES, fs, [2], 300, refs[:2], seed=4)
+
+
+COMPARE_X_X2 = """\
+case,scheme,test_fn,p2,p3,p4
+case2,exp-es,x,2.068e-02,9.692e-03,3.699e-03
+case2,ses,x,5.646e-02,4.445e-02,2.013e-02
+case2,sms,x,6.820e-02,4.558e-02,1.955e-02
+case2,tes,x,-,-,5.935e-03
+case2,stes,x,-,1.002e-02,5.975e-03
+case2,exp-es,x2,6.018e-03,3.265e-03,1.633e-03
+case2,ses,x2,8.815e-03,1.068e-02,5.838e-03
+case2,sms,x2,6.024e+00,1.074e-02,6.446e-03
+case2,tes,x2,-,-,9.036e-03
+case2,stes,x2,-,1.187e-03,4.808e-04
+"""
+
+
+def test_compare_steps_each_stream_once_for_every_test_function(
+        tmp_path, monkeypatch, capsys):
+    # two test functions share every ensemble: the reference (one chunk)
+    # and each (level, chunk) of the sweep make one stream, 7 in all, where
+    # one sweep per function made 13.  The wide CSV is the one a sweep per
+    # function wrote (numerics version 2 wrote the same bytes), and the
+    # detail CSV equals one run per function, row for row
+    argv = ["--case", "case2", "--p-min", "2", "--p-max", "4", "--n", "8192",
+            "--n0", "4096", "--p-ref", "10", "--no-cache"]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return make_stream(*args)
+
+    monkeypatch.setattr(montecarlo, "make_stream", counting)
+    both = ["--test-fn", "x", "--test-fn", "x2"]
+    out = {}
+    for name, command, fns in [("compare", "compare", both),
+                               ("detail", "weak-error", both),
+                               ("x", "weak-error", ["--test-fn", "x"]),
+                               ("x2", "weak-error", ["--test-fn", "x2"])]:
+        calls.clear()
+        path = tmp_path / f"{name}.csv"
+        cli.main([command] + argv + fns + ["--output", str(path)])
+        out[name] = path.read_text()
+        if name == "compare":
+            assert len(calls) == len(set(calls)) == 7
+    capsys.readouterr()
+    assert out["compare"] == COMPARE_X_X2
+    header, *x_rows = out["x"].splitlines(keepends=True)
+    _, *x2_rows = out["x2"].splitlines(keepends=True)
+    assert out["detail"] == "".join([header] + x_rows + x2_rows)
+
+
 def test_compare_draws_each_level_and_chunk_once(tmp_path, monkeypatch, capsys):
     argv = ["compare", "--case", "case2", "--p-min", "2", "--p-max", "4",
             "--n", str(N), "--n0", "1024", "--p-ref", "4", "--seed", "3",

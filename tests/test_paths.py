@@ -128,7 +128,7 @@ def test_frozen_draws_guard_the_numerics_version():
     # the first draws of a stream at a group's start and of one that starts
     # mid-group (trajectory 100 is lane 36 of group 1): a change of the
     # group layout or of LANES moves them, and must bump NUMERICS_VERSION
-    assert NUMERICS_VERSION == 2
+    assert NUMERICS_VERSION == 3
     assert make_stream(0, 0, 0, 2).standard_normals(3).tolist() == [
         [1.2918689310096432, -0.7747184769507146, -1.1120936949965137],
         [-0.22764034777211475, -0.23198549540129462, 0.9476266479587735]]

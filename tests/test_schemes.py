@@ -15,6 +15,7 @@ from expsde.models import PrototypeModel
 from expsde.montecarlo import simulate_paths
 from expsde.schemes import DIVERGENCE_CAP, SchemeKind, alive, step, step_values
 from expsde.paths import make_stream
+from expsde.reference import NUMERICS_VERSION
 from conftest import ZeroStream, path_terminal
 
 CASE1 = PrototypeModel(b2=2.0, sigma=0.1, alpha=1.5)
@@ -275,6 +276,61 @@ def test_step_values_vector_matches_scalar():
         for i in range(32):
             one = step_values(kind, CASE2, xs[i:i + 1], 0.125, dws[i:i + 1])
             assert one[0] == vec[i]
+
+
+# terminals of trajectories 0..7 (seed 0, p = 2) under every scheme, for a
+# drift with all three terms and a fractional power: what numerics version
+# 3 simulates.  tes's trajectory 6 diverges, its terminal is its last good
+# state
+FROZEN_MODEL = PrototypeModel(b0=0.5, b1=1.0, b2=2.0, sigma=0.5, alpha=1.5)
+FROZEN_TERMINALS = {
+    "exp-es": [
+        1.1171075724653556, 0.8508306506930651, 0.6634105149681422,
+        0.9086172081360896, 0.6884595729505311, 0.7673366038466858,
+        0.5986635628017252, 0.8319650128729936,
+    ],
+    "explicit-exp-euler": [
+        1.0953455898076552, 0.8484523411453984, 0.6304509166408576,
+        0.8844449649922289, 0.6435724376975356, 0.7481783174135387,
+        0.5602896710626829, 0.8377169747751342,
+    ],
+    "ses": [
+        1.1188059809745183, 0.6598965181890051, 0.598056182891308,
+        0.921466764758765, 0.6430284059941399, 0.7402449765550507,
+        0.43407252585208755, 0.7891584290752948,
+    ],
+    "sms": [
+        0.6633693763906168, 0.8712371424369908, 0.6253197510287607,
+        0.8105766204466519, 0.6191158233296815, 0.7109378772148549,
+        0.8458242239798448, 0.8303852581818734,
+    ],
+    "sms-half": [
+        0.98628746954975, 0.7994625626358932, 0.6200718695118211,
+        0.8625796338154652, 0.6317155732159568, 0.7302179110122655,
+        0.6184841804988817, 0.8194173332685039,
+    ],
+    "tes": [
+        1.450332102850386, 0.6514865405489426, 0.5898406859968979,
+        0.9543722328942534, 0.648737082271639, 0.7308845297571903,
+        -0.2275697468331297, 0.7628946692100473,
+    ],
+    "stes": [
+        1.1656066851876554, 0.8826726864623019, 0.6506900930695674,
+        0.9228955749836354, 0.6528383964752369, 0.7584036818979782,
+        0.841731284773861, 0.7994843055413591,
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", SchemeKind, ids=lambda k: k.value)
+def test_frozen_terminals_guard_the_numerics_version(kind):
+    # a kernel change that moves any of these must bump NUMERICS_VERSION,
+    # so that no cached reference of the old kernels is served
+    assert NUMERICS_VERSION == 3
+    for x, div in simulate_paths(FROZEN_MODEL, kind, 2, make_stream(0, 0, 2, 8)):
+        pass
+    assert x.tolist() == FROZEN_TERMINALS[kind.value]
+    assert div.tolist() == [kind is SchemeKind.TES and i == 6 for i in range(8)]
 
 
 def test_divergence_cap_flags_huge_values():
