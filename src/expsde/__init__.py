@@ -49,8 +49,6 @@ from .reference import (
     ReferenceValue,
     UnreliableReferenceError,
     adaptive_quadrature,
-    analytic_first_moment,
-    analytic_second_moment,
     chi_square_moment,
     fine_grid_reference,
     gamma_function,
@@ -83,8 +81,8 @@ __all__ = [
     "moment_sweep", "exp_moment_estimate",
     "ReferenceMethod", "ReferenceValue", "DivergentIntegralError",
     "QuadratureNotConverged", "UnreliableReferenceError",
-    "gamma_function", "adaptive_quadrature", "analytic_first_moment",
-    "analytic_second_moment", "chi_square_moment", "fine_grid_reference",
+    "gamma_function", "adaptive_quadrature", "chi_square_moment",
+    "fine_grid_reference",
     "RateFit", "InsufficientDataError", "fit_rate", "CaseTableReport",
     "build_case_table", "write_detail_csv", "write_summary_csv",
     "render_compare_csv",

@@ -14,7 +14,13 @@ from pathlib import Path
 from typing import Optional
 
 from .montecarlo import AllDivergedError, weak_error_sweep, worker_pool
-from .reference import ReferenceValue, UnreliableReferenceError, fine_grid_reference
+from .reference import (
+    DEFAULT_N0,
+    DEFAULT_P_REF,
+    ReferenceValue,
+    UnreliableReferenceError,
+    fine_grid_reference,
+)
 from .schemes import SchemeKind
 
 __all__ = [
@@ -150,8 +156,9 @@ def _sweep_cells(model, kinds, fs, refs, p_list, n, seed, workers):
 
 
 def build_case_table(cases, schemes, test_functions, p_list, n, seed,
-                     n0=None, p_ref=None, workers: int = 1, cache_dir=None,
-                     use_cache: bool = True, fit_p_min: Optional[int] = None,
+                     n0=DEFAULT_N0, p_ref=DEFAULT_P_REF, workers: int = 1,
+                     cache_dir=None, use_cache: bool = True,
+                     fit_p_min: Optional[int] = None,
                      fit_p_max: Optional[int] = None) -> CaseTableReport:
     """One weak-error table plus rate fit per (case, scheme, test function).
 
@@ -168,12 +175,6 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
 
     The fit range defaults to [2, 7] clipped to p_list.
     """
-    from .reference import DEFAULT_N0, DEFAULT_P_REF
-
-    if n0 is None:
-        n0 = DEFAULT_N0
-    if p_ref is None:
-        p_ref = DEFAULT_P_REF
     if not p_list:
         raise ValueError("p_list must be nonempty")
     case_items = list(dict(cases).items())

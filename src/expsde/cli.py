@@ -30,15 +30,12 @@ from .analysis import (
     write_summary_csv,
 )
 from .models import PrototypeModel, check_hypotheses
-from .montecarlo import TEST_FUNCTIONS, simulate_paths, worker_pool
+from .montecarlo import TEST_FUNCTIONS, simulate_paths
 from .paths import make_stream
 from .reference import (
     DEFAULT_N0,
     DEFAULT_P_REF,
-    DivergentIntegralError,
     UnreliableReferenceError,
-    analytic_first_moment,
-    analytic_second_moment,
     fine_grid_reference,
 )
 from .schemes import SchemeKind
@@ -119,8 +116,6 @@ class RunConfig:
     seed: int = _opt(0, int, "master seed (default 0)", low=0)
     workers: int = _opt(1, int, "worker processes (default 1)", low=1)
     output: Optional[str] = _opt(None, str, "write result here instead of stdout")
-    ref_method: str = _opt("fine-grid", str,
-                           "reference command only: fine-grid or analytic (default fine-grid)")
     cache_dir: Optional[str] = _opt(None, str,
                                     "reference cache directory (default $EXPSDE_CACHE_DIR)")
     no_cache: bool = _opt(False, _cast_bool, "disable the reference cache")
@@ -215,8 +210,6 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError(
                 f"unknown test function {f!r}; built-ins: {sorted(TEST_FUNCTIONS)}"
             )
-    if cfg.ref_method not in ("fine-grid", "analytic"):
-        raise ConfigError(f"ref_method must be fine-grid or analytic, got {cfg.ref_method!r}")
     if cfg.output and not Path(cfg.output).parent.is_dir():
         raise ConfigError(f"output directory {str(Path(cfg.output).parent)!r} does not exist")
 
@@ -306,38 +299,15 @@ def cmd_check(cfg: RunConfig) -> int:
 
 def cmd_reference(cfg: RunConfig) -> int:
     name, model = resolve_model(cfg)
-    lines = []
-    with worker_pool(cfg.workers):
-        for f in cfg.test_fn:
-            mc = fine_grid_reference(model, f, n0=cfg.n0, p_ref=cfg.p_ref,
-                                     seed=cfg.seed, workers=cfg.workers,
-                                     cache_dir=cfg.cache_dir,
-                                     use_cache=not cfg.no_cache)
-            ref = mc
-            if cfg.ref_method == "analytic":
-                ref = _analytic_or_fallback(model, f, mc)
-            lines.append(f"{name} {f}: {ref.value!r} +- {ref.uncertainty:.3g} "
-                         f"[{ref.method.value}]")
+    refs = fine_grid_reference(model, cfg.test_fn, n0=cfg.n0, p_ref=cfg.p_ref,
+                               seed=cfg.seed, workers=cfg.workers,
+                               cache_dir=cfg.cache_dir,
+                               use_cache=not cfg.no_cache)
     with _destination(cfg) as out:
-        out.write("\n".join(lines) + "\n")
+        for f, ref in zip(cfg.test_fn, refs):
+            out.write(f"{name} {f}: {ref.value!r} +- {ref.uncertainty:.3g} "
+                      f"[{ref.method.value}]\n")
     return 0
-
-
-def _analytic_or_fallback(model, f, mc):
-    ops = {"x": analytic_first_moment, "x2": analytic_second_moment}
-    if f not in ops:
-        print(f"note: no closed form for test function {f!r}; "
-              "using the fine-grid value", file=sys.stderr)
-        return mc
-    try:
-        return ops[f](model, mc_check=mc)
-    except DivergentIntegralError as exc:
-        print(f"note: {exc}; falling back to the fine-grid value", file=sys.stderr)
-        return mc
-    except ValueError as exc:
-        print(f"note: closed form not applicable ({exc}); "
-              "using the fine-grid value", file=sys.stderr)
-        return mc
 
 
 def cmd_weak_error(cfg: RunConfig) -> int:

@@ -155,27 +155,27 @@ class _GroupKey(np.random.bit_generator.ISeedSequence):
 
 class GaussianStream:
     """Deterministic source of standard normal draws for `count` consecutive
-    trajectories, starting at `trajectory`, `counter` draws into each.
+    trajectories, starting at `trajectory`; `counter` counts the draws made
+    of each.
 
     Row i of every draw is the stream of trajectory + i alone: its values do
-    not depend on `count`, on `counter` or on how the draws are split over
-    calls.  The stream holds one generator per lane group of its run,
-    `counter` steps in, and every call continues from them.
+    not depend on `count` or on how the draws are split over calls.  The
+    stream holds one generator per lane group of its run, and every call
+    continues from them.
     """
 
     __slots__ = ("seed", "trajectory", "level", "count", "counter", "_groups")
 
-    def __init__(self, seed: int, trajectory: int, level: int, count: int = 1,
-                 counter: int = 0):
-        if seed < 0 or trajectory < 0 or level < 0 or counter < 0:
-            raise ValueError("seed, trajectory, level, counter must be nonnegative")
+    def __init__(self, seed: int, trajectory: int, level: int, count: int = 1):
+        if seed < 0 or trajectory < 0 or level < 0:
+            raise ValueError("seed, trajectory, level must be nonnegative")
         if count < 1:
             raise ValueError(f"count must be >= 1, got {count}")
         self.seed = int(seed)
         self.trajectory = int(trajectory)
         self.level = int(level)
         self.count = int(count)
-        self.counter = int(counter)
+        self.counter = 0
         first, last = self.trajectory, self.trajectory + self.count
         self._groups = []  # (generator, its lanes in the run, their rows)
         for g in range(first // LANES, (last - 1) // LANES + 1):
@@ -185,28 +185,21 @@ class GaussianStream:
             self._groups.append((np.random.Generator(np.random.Philox(_GroupKey(key))),
                                  slice(lo - g * LANES, hi - g * LANES),
                                  slice(lo - first, hi - first)))
-        self._draw(self.counter, None)  # skip the draws already made
 
-    def _draw(self, n, out):
-        """Draw the next n steps of every group, at most SLICE_DRAWS normals
-        per generator call, into the group's rows of the (n, count) array
-        out, or nowhere when out is None."""
+    def standard_normals(self, n: int) -> np.ndarray:
+        """Draw the next n standard normals of every row, as a (count, n)
+        view of a fresh step-major (n, count) array (consecutive calls
+        concatenate along each row).  Each group draws at most SLICE_DRAWS
+        normals per generator call."""
+        n = int(n)
+        out = np.empty((n, self.count), dtype=np.float64)
         width = max(1, min(n, SLICE_DRAWS // LANES))
         scratch = np.empty((width, LANES), dtype=np.float64)
         for gen, lanes, rows in self._groups:
             for k0 in range(0, n, width):
                 part = scratch[:min(width, n - k0)]
                 gen.standard_normal(out=part)
-                if out is not None:
-                    out[k0:k0 + len(part), rows] = part[:, lanes]
-
-    def standard_normals(self, n: int) -> np.ndarray:
-        """Draw the next n standard normals of every row, as a (count, n)
-        view of a fresh step-major (n, count) array (consecutive calls
-        concatenate along each row)."""
-        n = int(n)
-        out = np.empty((n, self.count), dtype=np.float64)
-        self._draw(n, out)
+                out[k0:k0 + len(part), rows] = part[:, lanes]
         self.counter += n
         return out.T
 

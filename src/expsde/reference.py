@@ -1,15 +1,14 @@
 """Reference values for E[f(X_T)].
 
-Two sources.  The workhorse is a fine-grid Monte Carlo oracle (exponential
-scheme at a deep refinement level, deterministic in its seed and cacheable
-on disk).  For the zero-intercept prototype model there is also a pair of
-closed-form moment integrals evaluated by adaptive quadrature; these carry
-an explicit convergence guard and are cross-validated against the MC oracle
-before anyone should trust them, because for every catalog case their
-(1-r) endpoint exponent is a large negative number and the integral simply
-diverges.  chi_square_moment is an independently derived closed form (via
-the power transform of the state, whose law is a scaled noncentral
-chi-square) that does converge; it is used as a diagnostic oracle.
+The workhorse is a fine-grid Monte Carlo oracle (exponential scheme at a
+deep refinement level, deterministic in its seed and cacheable on disk).
+For the zero-intercept prototype model, chi_square_moment gives E[X_T^q]
+in closed form, by adaptive quadrature, from the law of the power
+transform of the state (a scaled noncentral chi-square); it is the
+diagnostic oracle.  The published moment integrals (analytic_first_moment,
+analytic_second_moment) carry an explicit convergence guard: for every
+catalog case their (1-r) endpoint exponent is a large negative number and
+the integral diverges, and where they converge they disagree with that law.
 """
 
 from __future__ import annotations
@@ -179,21 +178,34 @@ def _require_zero_intercept(model, need_unit_setup):
         raise ValueError("this formula is specialized to x0 = 1, horizon = 1")
 
 
-def _check_against_mc(value, uncertainty, mc_check, meta):
-    budget = 3.0 * (uncertainty + mc_check.uncertainty)
-    ok = abs(value - mc_check.value) <= budget
-    meta["consistent_with_mc"] = ok
-    if not ok:
-        warnings.warn(
-            f"analytic value {value:.8g} disagrees with the fine-grid "
-            f"reference {mc_check.value:.8g} beyond the combined uncertainty "
-            f"budget {budget:.3g}; treat the fine-grid value as authoritative",
-            stacklevel=3,
+def _published_moment(model, tol, moment, r_power, c1, base):
+    """E[X_T^moment] from a published closed-form integral: with
+    m = alpha - 1, the value is base^(1/(1-alpha)) / Gamma(r_power) times
+    the integral over (0,1) of
+
+        r^(r_power - 1) * (1-r)^c1 * exp(-r / (2 sigma^2 m^2)).
+
+    Raises DivergentIntegralError when c1 <= -1."""
+    if c1 <= -1.0:
+        order = ("first", "second")[moment - 1]
+        raise DivergentIntegralError(
+            f"divergent integral: (1-r) exponent {c1:.6g} <= -1 "
+            f"({order} moment); use fine_grid_reference"
         )
+    m = model.alpha - 1.0
+    s2 = model.sigma * model.sigma
+    rate = 1.0 / (2.0 * s2 * m * m)
+    raw, err = adaptive_quadrature(lambda r: math.exp(-rate * r),
+                                   tol=tol, c0=r_power - 1.0, c1=c1)
+    pref = base ** (1.0 / (1.0 - model.alpha))
+    pref /= gamma_function(r_power)
+    meta = {"tol": tol, "moment": moment}
+    return ReferenceValue(pref * raw, ReferenceMethod.AnalyticIntegral,
+                          pref * err, meta)
 
 
-def analytic_first_moment(model: PrototypeModel, tol: float = DEFAULT_QUAD_TOL,
-                          mc_check: Optional[ReferenceValue] = None) -> ReferenceValue:
+def analytic_first_moment(model: PrototypeModel,
+                          tol: float = DEFAULT_QUAD_TOL) -> ReferenceValue:
     """E[X_T] from the closed-form integral, as published.
 
     value = (4 sigma (alpha-1))^(1/(1-alpha)) / Gamma(1/(2 alpha - 2)) times
@@ -203,66 +215,34 @@ def analytic_first_moment(model: PrototypeModel, tol: float = DEFAULT_QUAD_TOL,
           * exp(-r / (2 sigma^2 (alpha-1)^2)).
 
     The (1-r) exponent is <= -1 for every catalog case, in which case this
-    raises DivergentIntegralError and the caller should fall back to
-    fine_grid_reference.  When it does converge, pass mc_check to
-    cross-validate; a disagreement beyond 3 combined uncertainties warns
-    and is recorded in meta["consistent_with_mc"].  See chi_square_moment
-    for an independently derived convergent form.
+    raises DivergentIntegralError.  Where the integral converges, its value
+    disagrees with the law of X_T (0.3164 against 0.5765 for b2 = 0.4,
+    sigma = 1, alpha = 2); chi_square_moment gives E[X_T] from that law.
     """
     _require_zero_intercept(model, need_unit_setup=True)
     m = model.alpha - 1.0
     s2 = model.sigma * model.sigma
-    c0 = 1.0 / (2.0 * m) - 1.0
-    c1 = -model.b2 / (s2 * m)
-    if c1 <= -1.0:
-        raise DivergentIntegralError(
-            f"divergent integral: (1-r) exponent {c1:.6g} <= -1 "
-            "(first moment); use fine_grid_reference"
-        )
-    rate = 1.0 / (2.0 * s2 * m * m)
-    raw, err = adaptive_quadrature(lambda r: math.exp(-rate * r),
-                                   tol=tol, c0=c0, c1=c1)
-    pref = (4.0 * model.sigma * m) ** (1.0 / (1.0 - model.alpha))
-    pref /= gamma_function(1.0 / (2.0 * m))
-    value = pref * raw
-    uncertainty = pref * err
-    meta = {"tol": tol, "moment": 1}
-    if mc_check is not None:
-        _check_against_mc(value, uncertainty, mc_check, meta)
-    return ReferenceValue(value, ReferenceMethod.AnalyticIntegral, uncertainty, meta)
+    return _published_moment(model, tol, 1, 1.0 / (2.0 * m),
+                             -model.b2 / (s2 * m), 4.0 * model.sigma * m)
 
 
-def analytic_second_moment(model: PrototypeModel, tol: float = DEFAULT_QUAD_TOL,
-                           mc_check: Optional[ReferenceValue] = None) -> ReferenceValue:
+def analytic_second_moment(model: PrototypeModel,
+                           tol: float = DEFAULT_QUAD_TOL) -> ReferenceValue:
     """E[X_T^2] from the closed-form integral, as published.
 
     Same structure as analytic_first_moment with prefactor
     (2 sigma^2 (alpha-1)^2)^(1/(1-alpha)) / Gamma(1/(alpha-1)), r exponent
     1/(alpha-1) - 1 and (1-r) exponent -(sigma^2 + 2 B2)/(2 sigma^2 (alpha-1)).
     Raises DivergentIntegralError when that exponent is <= -1 (every
-    catalog case).
+    catalog case).  Where the integral converges, its value disagrees with
+    the law of X_T; chi_square_moment(model, 2) gives E[X_T^2] from it.
     """
     _require_zero_intercept(model, need_unit_setup=True)
     m = model.alpha - 1.0
     s2 = model.sigma * model.sigma
-    c0 = 1.0 / m - 1.0
-    c1 = -(s2 + 2.0 * model.b2) / (2.0 * s2 * m)
-    if c1 <= -1.0:
-        raise DivergentIntegralError(
-            f"divergent integral: (1-r) exponent {c1:.6g} <= -1 "
-            "(second moment); use fine_grid_reference"
-        )
-    rate = 1.0 / (2.0 * s2 * m * m)
-    raw, err = adaptive_quadrature(lambda r: math.exp(-rate * r),
-                                   tol=tol, c0=c0, c1=c1)
-    pref = (2.0 * s2 * m * m) ** (1.0 / (1.0 - model.alpha))
-    pref /= gamma_function(1.0 / m)
-    value = pref * raw
-    uncertainty = pref * err
-    meta = {"tol": tol, "moment": 2}
-    if mc_check is not None:
-        _check_against_mc(value, uncertainty, mc_check, meta)
-    return ReferenceValue(value, ReferenceMethod.AnalyticIntegral, uncertainty, meta)
+    return _published_moment(model, tol, 2, 1.0 / m,
+                             -(s2 + 2.0 * model.b2) / (2.0 * s2 * m),
+                             2.0 * s2 * m * m)
 
 
 def chi_square_moment(model: PrototypeModel, order: float,

@@ -4,6 +4,7 @@ and determinism of the emitted CSV."""
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import expsde
-from expsde import cli, montecarlo
+from expsde import cli, montecarlo, reference
 from expsde.cli import (CASES, ConfigError, RunConfig, build_parser, main,
                         parse_config_text, resolve_config)
 from expsde.models import PrototypeModel
@@ -97,7 +98,7 @@ class ConfigText(str):
     ["check", "--case", "case1", "--b0", "1"],
     ["check", "--case", "case1", "--b1", "1"],
     ["check", "--case", "case1", "--horizon", "2"],
-    ["reference", "--case", "case1", "--ref-method", "exact"],
+    ["reference", "--case", "case1", "--ref-method", "analytic"],
     ["simulate", "--case", "case1", "--p", "70"],       # beyond MAX_LEVEL
     ["weak-error", "--case", "case1", "--p-min", "69", "--p-max", "70",
      "--n", "2", "--n0", "1", "--p-ref", "1"],
@@ -105,6 +106,7 @@ class ConfigText(str):
     ["check", "--case", "case1", "--bogus"],            # unknown flag
     ["simulate", "--case", "case1", "--scheme", "sms", "--milstein-half"],
     ["simulate", "--config", ConfigText("case = case1\nmilstein_half = yes\n")],
+    ["reference", "--config", ConfigText("case = case1\nref_method = analytic\n")],
 ])
 def test_usage_errors_exit_2(argv, capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
@@ -197,7 +199,7 @@ OPTION_SAMPLES = {
     "alpha": "1.75", "x0": "1.5", "horizon": "0.5", "scheme": "ses",
     "test_fn": "x2", "p_min": "3", "p_max": "9", "p": "5", "n": "300",
     "n0": "500", "p_ref": "6", "seed": "4", "workers": "2",
-    "output": "out.csv", "ref_method": "analytic", "cache_dir": "cache",
+    "output": "out.csv", "cache_dir": "cache",
     "no_cache": "true", "trajectory": "7",
 }
 
@@ -506,36 +508,37 @@ def test_reference_cached_rerun_identical(tmp_path, capsys):
     assert first == second
     assert "[fine-grid-mc]" in first
 
-def test_reference_analytic_falls_back_when_divergent(capsys):
-    # the case1 closed-form integrals diverge, so the analytic preference
-    # must fall back to the fine-grid value and say so
-    rc, out, err = run(["reference", "--case", "case1", "--test-fn", "x",
-                        "--ref-method", "analytic", "--no-cache"] + FAST,
-                       capsys)
-    assert rc == 0
-    assert "[fine-grid-mc]" in out
-    assert "falling back" in err
+def test_reference_runs_one_ensemble_for_every_test_fn(monkeypatch, capsys):
+    # the terminals do not depend on f, so one ensemble serves every
+    # --test-fn, and each line reads as that test function alone prints it
+    argv = ["reference", "--case", "case1", "--no-cache"] + FAST
+    alone = {f: run(argv + ["--test-fn", f], capsys)[1] for f in ("x", "x2")}
+    calls = []
+    estimate_many = reference.estimate_many
 
-def test_reference_analytic_used_when_integral_converges(capsys):
-    # this model's closed-form integral converges but disagrees with the
-    # simulated expectation, so the consistency check warns; the analytic
-    # preference still reports the closed-form number
-    with pytest.warns(UserWarning, match="authoritative"):
-        rc, out, _ = run(["reference", "--b2", "0.4", "--sigma", "1.0",
-                          "--alpha", "2.0", "--test-fn", "x",
-                          "--ref-method", "analytic", "--no-cache",
-                          "--n", "200", "--n0", "2000", "--p-ref", "6",
-                          "--seed", "3"], capsys)
-    assert rc == 0
-    assert "[analytic-integral]" in out
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return estimate_many(*args, **kwargs)
 
-def test_reference_no_closed_form_notice(capsys):
-    rc, out, err = run(["reference", "--case", "case1",
-                        "--test-fn", "exp_neg_x2", "--ref-method", "analytic",
-                        "--no-cache"] + FAST, capsys)
+    monkeypatch.setattr(reference, "estimate_many", counted)
+    rc, out, _ = run(argv + ["--test-fn", "x", "--test-fn", "x2",
+                             "--test-fn", "x"], capsys)
     assert rc == 0
-    assert "exp_neg_x2" in out
-    assert "no closed form" in err
+    assert len(calls) == 1
+    assert out == alone["x"] + alone["x2"] + alone["x"]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_names_every_flag_and_no_other():
+    # the Install and Tests sections show pip's and bench/run.py's flags
+    sections = README.read_text().split("\n## ")
+    text = "\n".join(s for s in sections if not s.startswith(("Install", "Tests")))
+    named = set(re.findall(r"--[a-z0-9]+(?:-[a-z0-9]+)*", text))
+    flags = {"--" + f.name.replace("_", "-") for f in fields(RunConfig)}
+    assert named <= flags | {"--config", "--profile"}
+    assert flags <= named
 
 
 def test_shared_parser_keeps_no_option_between_calls(tmp_path, capsys):

@@ -18,7 +18,7 @@ import pytest
 from expsde.cli import CASES
 from expsde.models import GeneralDriftModel, PrototypeModel, drift_eval
 from expsde.montecarlo import TILE_STEPS, simulate_paths
-from expsde.paths import KEY_BLOCK, LANES, GaussianStream, make_stream
+from expsde.paths import KEY_BLOCK, LANES, make_stream
 from expsde.schemes import SchemeKind, step_values
 from conftest import STEP_AGREEMENT
 from test_engine_tiles import column_oracle
@@ -51,11 +51,6 @@ def test_split_calls_equal_one_call_across_groups():
     assert np.array_equal(got, make_stream(11, start, 12, 200).standard_normals(4106))
     got = np.concatenate(other_parts, axis=1)
     assert np.array_equal(got, make_stream(3, 40, 6, 2).standard_normals(65))
-    # a stream that starts mid-path skips the counter in every group
-    resumed = GaussianStream(11, start + 3, 12, count=130, counter=1500)
-    got = np.concatenate([resumed.standard_normals(w) for w in (24, 1000)], axis=1)
-    assert np.array_equal(got, make_stream(11, start + 3, 12, 130)
-                          .standard_normals(2524)[:, 1500:])
 
 
 # ------------------------------------------------- drift and kernel oracles

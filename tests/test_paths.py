@@ -9,7 +9,7 @@ from scipy import stats
 
 from expsde.cli import CASES
 from expsde.montecarlo import estimate_many, simulate_paths
-from expsde.paths import KEY_BLOCK, LANES, GaussianStream, make_stream, philox_keys
+from expsde.paths import KEY_BLOCK, LANES, make_stream, philox_keys
 from expsde.reference import NUMERICS_VERSION
 from expsde.schemes import SchemeKind, step
 from conftest import ZeroStream, path_terminal
@@ -45,14 +45,6 @@ def test_segmented_draws_equal_one_shot():
     s = make_stream(77, 0, 6)
     parts = [s.standard_normals(k) for k in (1, 7, 120, 968, 3000)]
     assert np.array_equal(one, np.concatenate(parts, axis=1))
-
-
-def test_counter_fast_forward():
-    s = make_stream(5, 1, 1)
-    s.standard_normals(10)
-    tail = s.standard_normals(8)
-    resumed = GaussianStream(5, 1, 1, counter=10)
-    assert np.array_equal(tail, resumed.standard_normals(8))
 
 
 def test_increment_is_draw_times_sqrt_dt():
@@ -184,21 +176,6 @@ def test_interleaved_calls_equal_solo_draws(keys, schedule):
         assert np.array_equal(got, solo_draws(*key, total))
 
 
-@fixed
-@given(seed=st.integers(0, 2**70), trajectory=st.integers(0, 2**40),
-       level=st.integers(0, 6), counter=st.integers(0, 100),
-       widths=st.lists(st.integers(0, 50), min_size=1, max_size=3))
-@example(seed=9, trajectory=LANES - 1, level=3, counter=7, widths=[2, 9])
-@example(seed=9, trajectory=LANES, level=3, counter=7, widths=[2, 9])
-def test_counter_fast_forward_equals_solo_draws(seed, trajectory, level,
-                                                counter, widths):
-    stream = GaussianStream(seed, trajectory, level, counter=counter)
-    got = np.concatenate([stream.standard_normals(w)[0] for w in widths])
-    want = solo_draws(seed, trajectory, level, counter + sum(widths))
-    assert np.array_equal(got, want[counter:])
-    assert stream.counter == counter + sum(widths)
-
-
 # ------------------------------------------------------------ chunk streams
 
 def block_edge(block, offset):
@@ -247,21 +224,6 @@ def test_chunk_rows_equal_one_row_streams(seed, start, count, level, widths):
     got = np.concatenate(parts, axis=1)
     for i in (0, count - 1):
         assert np.array_equal(got[i], solo_draws(seed, start + i, level, total))
-
-
-@fixed
-@given(seed=st.integers(0, 2**70), start=starts, count=st.integers(1, 24),
-       level=st.integers(0, 6), counter=st.integers(0, 100),
-       widths=st.lists(st.integers(0, 50), min_size=1, max_size=3))
-@example(seed=2, start=LANES - 10, count=20, level=1, counter=33,
-         widths=[3, 0, 8])
-def test_chunk_counter_fast_forwards_every_row(seed, start, count, level,
-                                               counter, widths):
-    chunk = GaussianStream(seed, start, level, count, counter=counter)
-    got = np.concatenate([chunk.standard_normals(w) for w in widths], axis=1)
-    for i in range(count):
-        want = solo_draws(seed, start + i, level, counter + sum(widths))
-        assert np.array_equal(got[i], want[counter:])
 
 
 @pytest.mark.parametrize("case, kind", [("case1", SchemeKind.ExpES),
