@@ -2,15 +2,17 @@
 
 Trajectories are drawn in lane groups of LANES consecutive trajectories:
 group g holds trajectories g*LANES .. g*LANES + LANES - 1.  A group's
-stream is one counter-based Philox generator whose key is numpy's
-SeedSequence hash of the seed with (g, level) as the spawn key, that is the
-key `Philox(SeedSequence(entropy=seed, spawn_key=(g, level)))` would use.
+stream is one SFC64 generator seeded with numpy's SeedSequence hash of the
+seed with (g, level) as the spawn key, that is the state
+`SFC64(SeedSequence(entropy=seed, spawn_key=(g, level)))` would take.
 The group draws step-major: its j-th standard normal is step j // LANES of
 lane j % LANES, and trajectory t reads lane t % LANES of group t // LANES.
 So the k-th draw of a trajectory is a pure function of (seed, trajectory,
 level, k): simulation order, chunking and worker layout cannot change any
 value.  Draws are standard normals; the path stepper
-(montecarlo.simulate_paths) scales them by sqrt(dt).
+(montecarlo.simulate_paths) scales them by sqrt(dt).  SFC64 has no counter
+or jump-ahead: streams of different keys are independent through the
+SeedSequence hash alone.
 
 A GaussianStream covers a run of `count` consecutive trajectories, one row
 each: the engine makes one per chunk of paths, and standard_normals(n)
@@ -19,14 +21,14 @@ transpose view of a step-major (n, count) block.  Anything with a `count`
 and such a standard_normals(n) method can stand in for a stream in the
 stepper.
 
-Keys are computed in bulk, KEY_BLOCK groups per numpy pass (philox_keys
-re-implements the SeedSequence pool hash on uint32 arrays).  A stream
-builds one generator per group it touches when it is made, and every
-call continues from those.  A run that starts or ends inside a group draws
-the whole group and keeps its own lanes, so a trajectory's draws never
-depend on the run it is drawn in.
+Seed states are computed in bulk, KEY_BLOCK groups per numpy pass
+(stream_keys re-implements the SeedSequence pool hash on uint32 arrays).
+A stream builds one generator per group it touches when it is made, and
+every call continues from those.  A run that starts or ends inside a group
+draws the whole group and keeps its own lanes, so a trajectory's draws
+never depend on the run it is drawn in.
 
-The generator family (Philox via numpy) and the group layout are fixed per
+The generator family (SFC64 via numpy) and the group layout are fixed per
 release (reference.NUMERICS_VERSION); changing either changes every
 simulated number.
 """
@@ -37,11 +39,12 @@ import functools
 
 import numpy as np
 
-__all__ = ["GaussianStream", "make_stream", "philox_keys", "KEY_BLOCK", "LANES"]
+__all__ = ["GaussianStream", "make_stream", "stream_keys", "KEY_BLOCK", "LANES"]
 
-LANES = 64  # trajectories per lane group, one Philox generator each
+LANES = 64  # trajectories per lane group, one SFC64 generator each
 KEY_BLOCK = 4096  # a power of two below 2^32: a block never straddles a word boundary
 SLICE_DRAWS = 1 << 16  # draws per generator call, so scratch stays small
+STATE_WORDS = 3  # uint64 words SFC64 takes from its seed sequence
 
 # numpy's SeedSequence constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -63,32 +66,32 @@ def _words(n: int) -> list:
     return words
 
 
-def _hash_constants(init: int, mult: int):
-    c = init
-    while True:
-        yield np.uint32(c)
-        c = (c * mult) & _MASK32
-
-
-def _seed_sequence_keys(entropy: list) -> np.ndarray:
-    """SeedSequence(...).generate_state(2, np.uint64) for many entropy words
-    at once: entropy[j] holds the j-th entropy word of every row (a uint32
-    array; at least _POOL_SIZE of them).  Returns an (m, 2) uint64 array.
-    uint32 array arithmetic wraps modulo 2^32, as the hash requires."""
-    consts = _hash_constants(_INIT_A, _MULT_A)
-    const = next(consts)
+def _hasher(init: int, mult: int):
+    """SeedSequence's hashmix: each call xors with the current hash constant,
+    advances it and multiplies by the new one."""
+    const = init
 
     def hashmix(value):
         nonlocal const
-        value = value ^ const
-        const = next(consts)
-        value = value * const
+        value = value ^ np.uint32(const)
+        const = (const * mult) & _MASK32
+        value = value * np.uint32(const)
         return value ^ (value >> _XSHIFT)
 
+    return hashmix
+
+
+def _seed_sequence_keys(entropy: list, n_words: int) -> np.ndarray:
+    """SeedSequence(...).generate_state(n_words, np.uint64) for many entropy
+    words at once: entropy[j] holds the j-th entropy word of every row (a
+    uint32 array; at least _POOL_SIZE of them).  Returns an (m, n_words)
+    uint64 array.  uint32 array arithmetic wraps modulo 2^32, as the hash
+    requires."""
     def mix(x, y):
         result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return result ^ (result >> _XSHIFT)
 
+    hashmix = _hasher(_INIT_A, _MULT_A)
     pool = [hashmix(entropy[i]) for i in range(_POOL_SIZE)]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
@@ -98,25 +101,21 @@ def _seed_sequence_keys(entropy: list) -> np.ndarray:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
 
-    consts = _hash_constants(_INIT_B, _MULT_B)
-    const = next(consts)
-    state = []
-    for value in pool:  # four uint32 words make the two uint64 key words
-        value = value ^ const
-        const = next(consts)
-        value = value * const
-        state.append((value ^ (value >> _XSHIFT)).astype(np.uint64))
+    # the output words cycle through the pool, least significant half first
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64)
+             for i in range(2 * n_words)]
     high = np.uint64(32)
-    return np.stack([state[0] | state[1] << high, state[2] | state[3] << high],
-                    axis=1)
+    return np.stack([state[2 * i] | state[2 * i + 1] << high
+                     for i in range(n_words)], axis=1)
 
 
-def philox_keys(seed: int, block: int, *tail: int) -> np.ndarray:
-    """Philox keys of the KEY_BLOCK spawn indices t = block*KEY_BLOCK + i.
+def stream_keys(seed: int, block: int, *tail: int) -> np.ndarray:
+    """SFC64 seed states of the KEY_BLOCK spawn indices t = block*KEY_BLOCK + i.
 
     Row i equals SeedSequence(entropy=seed, spawn_key=(t, *tail))
-    .generate_state(2, np.uint64), the key Philox takes from that
-    SeedSequence.  Streams use t = lane group and tail = (level,).
+    .generate_state(STATE_WORDS, np.uint64), the state SFC64 takes from
+    that SeedSequence.  Streams use t = lane group and tail = (level,).
     """
     if seed < 0 or block < 0 or any(v < 0 for v in tail):
         raise ValueError("seed, block and spawn-key entries must be nonnegative")
@@ -129,20 +128,22 @@ def philox_keys(seed: int, block: int, *tail: int) -> np.ndarray:
     fixed = first[1:] + [w for v in tail for w in _words(v)]
     entropy = ([np.full(KEY_BLOCK, w, dtype=np.uint32) for w in run] + [low]
                + [np.full(KEY_BLOCK, w, dtype=np.uint32) for w in fixed])
-    return _seed_sequence_keys(entropy)
+    return _seed_sequence_keys(entropy, STATE_WORDS)
 
 
 @functools.lru_cache(maxsize=8)
-def _group_keys(seed: int, level: int, block: int) -> tuple:
-    keys = philox_keys(seed, block, level)
-    return tuple(zip(keys[:, 0].tolist(), keys[:, 1].tolist()))
+def _group_keys(seed: int, level: int, block: int) -> np.ndarray:
+    keys = stream_keys(seed, block, level)
+    keys.flags.writeable = False  # every stream of the block reads its rows
+    return keys
 
 
 class _GroupKey(np.random.bit_generator.ISeedSequence):
-    """A seed sequence that hands Philox one precomputed key: Philox(
-    _GroupKey(key)) is the generator Philox(SeedSequence(...)) builds when
-    key is that SeedSequence's generate_state(2, np.uint64), without
-    hashing it again (and cheaper than Philox(key=...))."""
+    """A seed sequence that hands SFC64 one precomputed state: SFC64(
+    _GroupKey(key)) is the generator SFC64(SeedSequence(...)) builds when
+    key, a row of _group_keys, is that SeedSequence's
+    generate_state(STATE_WORDS, np.uint64), without hashing it again.
+    SFC64 only reads the row, so it is handed over without a copy."""
 
     __slots__ = ("key",)
 
@@ -150,7 +151,7 @@ class _GroupKey(np.random.bit_generator.ISeedSequence):
         self.key = key
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return np.array(self.key, dtype=np.uint64)
+        return self.key
 
 
 class GaussianStream:
@@ -182,7 +183,7 @@ class GaussianStream:
             block, index = divmod(g, KEY_BLOCK)
             key = _group_keys(self.seed, self.level, block)[index]
             lo, hi = max(first, g * LANES), min(last, (g + 1) * LANES)
-            self._groups.append((np.random.Generator(np.random.Philox(_GroupKey(key))),
+            self._groups.append((np.random.Generator(np.random.SFC64(_GroupKey(key))),
                                  slice(lo - g * LANES, hi - g * LANES),
                                  slice(lo - first, hi - first)))
 

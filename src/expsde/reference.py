@@ -51,7 +51,7 @@ MAX_REF_DIVERGED_FRACTION = 1e-3
 # engine).  It is part of the cache key, so a change that moves any
 # simulated value bumps it and no reference the old numerics produced is
 # served.
-NUMERICS_VERSION = 3
+NUMERICS_VERSION = 4
 
 
 class ReferenceMethod(enum.Enum):

@@ -33,10 +33,14 @@ SDE's own absorbing state, where b(0) = 0 and sigma 0^a = 0); exp-es steps
 it to b0 dt.  A drift(x) model's c is 0/0 = NaN there, and the path
 diverges.
 
-All power evaluations use IEEE semantics (np.power): fractional powers of a
-negative state are NaN and the trajectory counts as diverged.  A state is
-alive when |value| <= DIVERGENCE_CAP, one comparison that is false for NaN
-and +-inf; alive is that test, and the only divergence test.
+All power evaluations use IEEE semantics: np.power, or np.sqrt when
+alpha = 1.5, which costs half as much.  Both round x^0.5 correctly; a C
+pow(x, 0.5) differs from sqrt only at -0 (the sign of the zero) and -inf
+(+inf where sqrt gives NaN), states that stay alive and dead either way.
+Fractional powers of a negative state are NaN and the trajectory counts as
+diverged.  A state is alive when |value| <= DIVERGENCE_CAP, one comparison
+that is false for NaN and +-inf; alive is that test, and the only
+divergence test.
 
 step_values updates an array of states; step updates one state by running
 the same kernel on a one-element array, so a single state stepped
@@ -160,7 +164,8 @@ def step_values(kind: SchemeKind, model, x, dt, dw):
     except KeyError:
         raise ValueError(f"unhandled scheme kind {kind!r}") from None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return kernel(model, x, np.power(x, model.alpha - 1.0), dt, dw)
+        xa1 = np.sqrt(x) if model.alpha == 1.5 else np.power(x, model.alpha - 1.0)
+        return kernel(model, x, xa1, dt, dw)
 
 
 # ------------------------------------------------------------- scalar step

@@ -281,7 +281,7 @@ def test_simulate_stops_at_first_diverged_step(tmp_path, capsys):
     # fractional power of that state diverges the step to t=0.75
     out_file = tmp_path / "path.csv"
     rc, _, err = run(["simulate", "--case", "case2", "--scheme", "tes", "--p", "2",
-                      "--seed", "0", "--trajectory", "1", "--output", str(out_file)],
+                      "--seed", "0", "--trajectory", "2", "--output", str(out_file)],
                      capsys)
     assert rc == 1
     assert "case2/tes path diverged at t=0.75" in err

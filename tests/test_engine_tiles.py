@@ -72,14 +72,14 @@ def test_tiled_engine_matches_column_oracle(case, p, count, kind):
 
 
 # case2 tes and stes at coarse levels, seed 889: paths diverge part way
-# through a tile; the one-row tes path at trajectory 18 diverges at step 6
-# of 8, so the engine stops mid-tile after 7 of the 9 grid times
+# through a tile; the one-row tes path at trajectory 131 diverges at step 5
+# of 8, so the engine stops mid-tile after 6 of the 9 grid times
 @pytest.mark.parametrize("kind,p,start,count,diverges,yields", [
     (SchemeKind.TES, 2, 0, 300, True, 5),
     (SchemeKind.TES, 3, 0, 300, True, 9),
     (SchemeKind.STES, 2, 0, 300, True, 5),
     (SchemeKind.STES, 3, 0, 300, False, 9),
-    (SchemeKind.TES, 3, 18, 1, True, 7),
+    (SchemeKind.TES, 3, 131, 1, True, 6),
 ])
 def test_divergence_mid_tile_matches_column_oracle(kind, p, start, count,
                                                    diverges, yields):

@@ -80,16 +80,16 @@ def test_sweep_of_several_test_functions_equals_one_per_function():
 
 COMPARE_X_X2 = """\
 case,scheme,test_fn,p2,p3,p4
-case2,exp-es,x,2.068e-02,9.692e-03,3.699e-03
-case2,ses,x,5.646e-02,4.445e-02,2.013e-02
-case2,sms,x,6.820e-02,4.558e-02,1.955e-02
-case2,tes,x,-,-,5.935e-03
-case2,stes,x,-,1.002e-02,5.975e-03
-case2,exp-es,x2,6.018e-03,3.265e-03,1.633e-03
-case2,ses,x2,8.815e-03,1.068e-02,5.838e-03
-case2,sms,x2,6.024e+00,1.074e-02,6.446e-03
-case2,tes,x2,-,-,9.036e-03
-case2,stes,x2,-,1.187e-03,4.808e-04
+case2,exp-es,x,2.347e-02,1.090e-02,5.897e-03
+case2,ses,x,6.059e-02,4.564e-02,2.208e-02
+case2,sms,x,3.651e-02,4.591e-02,2.175e-02
+case2,tes,x,-,-,8.710e-03
+case2,stes,x,-,1.200e-02,8.329e-03
+case2,exp-es,x2,6.816e-03,2.776e-03,1.858e-03
+case2,ses,x2,1.143e-02,1.030e-02,5.942e-03
+case2,sms,x2,5.877e+00,5.942e-03,6.772e-03
+case2,tes,x2,-,-,3.191e-03
+case2,stes,x2,-,1.223e-03,8.278e-04
 """
 
 
@@ -97,9 +97,9 @@ def test_compare_steps_each_stream_once_for_every_test_function(
         tmp_path, monkeypatch, capsys):
     # two test functions share every ensemble: the reference (one chunk)
     # and each (level, chunk) of the sweep make one stream, 7 in all, where
-    # one sweep per function made 13.  The wide CSV is the one a sweep per
-    # function wrote (numerics version 2 wrote the same bytes), and the
-    # detail CSV equals one run per function, row for row
+    # one sweep per function made 13.  The wide CSV is what numerics
+    # version 4 writes, and the detail CSV equals one run per function, row
+    # for row
     argv = ["--case", "case2", "--p-min", "2", "--p-max", "4", "--n", "8192",
             "--n0", "4096", "--p-ref", "10", "--no-cache"]
     calls = []

@@ -9,7 +9,7 @@ from scipy import stats
 
 from expsde.cli import CASES
 from expsde.montecarlo import estimate_many, simulate_paths
-from expsde.paths import KEY_BLOCK, LANES, make_stream, philox_keys
+from expsde.paths import KEY_BLOCK, LANES, make_stream, stream_keys
 from expsde.reference import NUMERICS_VERSION
 from expsde.schemes import SchemeKind, step
 from conftest import ZeroStream, path_terminal
@@ -82,10 +82,15 @@ def test_variance_concentration():
 
 
 def test_cross_correlation_small():
-    a = make_stream(31, 0, 0).standard_normals(100_000)[0]
-    b = make_stream(31, 1, 0).standard_normals(100_000)[0]
-    r = np.corrcoef(a, b)[0, 1]
-    assert abs(r) < 0.02
+    # two lanes of one generator, neighbouring lane groups, and neighbouring
+    # levels of one trajectory: SFC64 has no counter, so streams of
+    # different keys are independent through the SeedSequence hash alone
+    for key_a, key_b in [((31, 0, 0), (31, 1, 0)), ((31, 0, 0), (31, LANES, 0)),
+                         ((31, 0, 5), (31, 0, 6))]:
+        a = make_stream(*key_a).standard_normals(100_000)[0]
+        b = make_stream(*key_b).standard_normals(100_000)[0]
+        r = np.corrcoef(a, b)[0, 1]
+        assert abs(r) < 0.02, (key_a, key_b, r)
 
 
 def test_normality_ks():
@@ -112,22 +117,23 @@ def solo_draws(seed, trajectory, level, n):
     group's generator, drawn step-major."""
     ss = np.random.SeedSequence(entropy=seed,
                                 spawn_key=(trajectory // LANES, level))
-    gen = np.random.Generator(np.random.Philox(ss))
+    gen = np.random.Generator(np.random.SFC64(ss))
     return gen.standard_normal((n, LANES))[:, trajectory % LANES]
 
 
 def test_frozen_draws_guard_the_numerics_version():
     # the first draws of a stream at a group's start and of one that starts
     # mid-group (trajectory 100 is lane 36 of group 1): a change of the
-    # group layout or of LANES moves them, and must bump NUMERICS_VERSION
-    assert NUMERICS_VERSION == 3
+    # generator, its seeding, the group layout or LANES moves them, and
+    # must bump NUMERICS_VERSION
+    assert NUMERICS_VERSION == 4
     assert make_stream(0, 0, 0, 2).standard_normals(3).tolist() == [
-        [1.2918689310096432, -0.7747184769507146, -1.1120936949965137],
-        [-0.22764034777211475, -0.23198549540129462, 0.9476266479587735]]
+        [0.44910368521775595, -0.14208744099305065, 0.34301369127729053],
+        [-0.9300081152403062, 0.6426369461476681, 1.6569286012203779]]
     assert make_stream(7, 100, 5, 3).standard_normals(2).tolist() == [
-        [2.0609748208405296, -0.7925842821968117],
-        [0.0005258789842403124, 0.05724688089129253],
-        [0.2928580586524498, -0.9908974944253168]]
+        [-0.11864925529257318, 0.28673382790533963],
+        [-0.21538302992351985, 0.5248159921722749],
+        [0.3014779406938046, 0.6564801692220655]]
 
 
 @fixed
@@ -141,15 +147,15 @@ def test_frozen_draws_guard_the_numerics_version():
 @example(seed=2**32, trajectory=2**32 + KEY_BLOCK - 1, level=2**33)
 def test_bulk_keys_equal_seed_sequence(seed, trajectory, level):
     block, index = divmod(trajectory, KEY_BLOCK)
-    keys = philox_keys(seed, block, level)
+    keys = stream_keys(seed, block, level)
     want = np.random.SeedSequence(
-        entropy=seed, spawn_key=(trajectory, level)).generate_state(2, np.uint64)
-    assert keys.shape == (KEY_BLOCK, 2) and keys.dtype == np.uint64
+        entropy=seed, spawn_key=(trajectory, level)).generate_state(3, np.uint64)
+    assert keys.shape == (KEY_BLOCK, 3) and keys.dtype == np.uint64
     assert np.array_equal(keys[index], want)
     # spawn key (trajectory,), the key of a stream shared by every level
     unlevelled = np.random.SeedSequence(
-        entropy=seed, spawn_key=(trajectory,)).generate_state(2, np.uint64)
-    assert np.array_equal(philox_keys(seed, block)[index], unlevelled)
+        entropy=seed, spawn_key=(trajectory,)).generate_state(3, np.uint64)
+    assert np.array_equal(stream_keys(seed, block)[index], unlevelled)
 
 
 @fixed
