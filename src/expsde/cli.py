@@ -114,7 +114,8 @@ class RunConfig:
     p_ref: int = _opt(DEFAULT_P_REF, int, f"reference level (default {DEFAULT_P_REF})",
                       low=1, high=MAX_LEVEL)
     seed: int = _opt(0, int, "master seed (default 0)", low=0)
-    workers: int = _opt(1, int, "worker processes (default 1)", low=1)
+    workers: int = _opt(1, int, "worker processes: the command's own "
+                              "and WORKERS - 1 children (default 1)", low=1)
     output: Optional[str] = _opt(None, str, "write result here instead of stdout")
     cache_dir: Optional[str] = _opt(None, str,
                                     "reference cache directory (default $EXPSDE_CACHE_DIR)")

@@ -12,12 +12,14 @@ standard error, by Chan, Golub and LeVeque's merge.  Neither the worker
 count nor the scheduling order can change any output bit (workers only
 compute whole chunks, which are pure functions of the chunk index).
 
-Workers are processes of one pool per worker_pool entry: a command opens
-it once around all of its ensembles, and the pool is only started at the
-first ensemble with more than one chunk, so a command that never needs it
-starts no process.  On Linux the workers are forked, so they start with
-numpy and this package already imported; elsewhere they are spawned and
-import them afresh.
+N workers are this process and the N - 1 children of one pool per
+worker_pool entry: a command opens it once around all of its ensembles,
+and the pool is only started at the first ensemble with more than one
+chunk, so a command that never needs it starts no process.  This process
+runs every chunk whose index is a multiple of N, the children the others.
+On Linux the children are forked, so they start with numpy and this
+package already imported; elsewhere they are spawned and import them
+afresh.
 
 Diverged trajectories (non-finite state, |state| above the cap, or a
 non-finite test-function value at the terminal, for example 1/x at an
@@ -253,15 +255,17 @@ def _worker(args):
 
 
 class _LazyPool:
-    """A pool of `workers` processes, at most one per CPU, started at the
-    first map with more than one worker and more than one task.
+    """`workers` workers, at most one per CPU: this process and a pool of
+    workers - 1 child processes, started at the first map with more than
+    one worker and more than one task.
 
-    The workers are forked on Linux and spawned elsewhere: macOS's
+    The children are forked on Linux and spawned elsewhere: macOS's
     Accelerate-backed numpy is not fork-safe, and Windows cannot fork.  A
-    forked worker needs no import and runs the same pure _chunk_payload as
-    a spawned one, so the start method changes no output bit.  A spawned
-    worker re-imports the calling script, which must therefore guard its
-    entry code with `if __name__ == "__main__":`.
+    forked child needs no import and runs the same pure _chunk_payload as
+    a spawned one, or as this process, so neither the start method nor the
+    process a task runs in changes an output bit.  A spawned child
+    re-imports the calling script, which must therefore guard its entry
+    code with `if __name__ == "__main__":`.
     """
 
     def __init__(self, workers):
@@ -269,12 +273,19 @@ class _LazyPool:
         self._pool = None
 
     def imap(self, func, arglist):
-        if self.workers <= 1 or len(arglist) <= 1:
+        """func over arglist, yielded in task order.  Task i runs in this
+        process when i % workers == 0 and in a child otherwise; the
+        children's tasks are handed to the pool before this process starts
+        its own."""
+        w = self.workers
+        if w <= 1 or len(arglist) <= 1:
             return map(func, arglist)
         if self._pool is None:
             ctx = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
-            self._pool = ctx.Pool(processes=self.workers)
-        return self._pool.imap(func, arglist, chunksize=1)
+            self._pool = ctx.Pool(processes=w - 1)
+        shared = self._pool.imap(func, [a for i, a in enumerate(arglist) if i % w],
+                                 chunksize=1)
+        return (next(shared) if i % w else func(a) for i, a in enumerate(arglist))
 
     def close(self):
         if self._pool is not None:
@@ -290,11 +301,12 @@ _open_pool = None
 def worker_pool(workers):
     """Share one worker pool among every ensemble run inside the block.
 
-    Reentrant: the outermost entry sets the worker count and nested entries
-    reuse its pool, whatever count they name.  No process is started until
-    an ensemble with more than one chunk runs with more than one worker.  When
-    the outermost entry exits, also by an exception, its pool is terminated
-    and its processes joined.
+    `workers` counts this process: the pool holds workers - 1 children, at
+    most one fewer than the CPUs.  Reentrant: the outermost entry sets the
+    worker count and nested entries reuse its pool, whatever count they
+    name.  No process is started until an ensemble with more than one chunk
+    runs with more than one worker.  When the outermost entry exits, also
+    by an exception, its pool is terminated and its children joined.
     """
     global _open_pool
     if _open_pool is not None:
@@ -379,9 +391,9 @@ def _estimate(model, kinds, fs, p, n, seed, workers, observe):
     every scheme in kinds steps on the same draws.  A path counts as
     diverged for f when it diverged or f of its value is not finite.
 
-    Chunks run on the enclosing worker_pool's pool, or on one opened for
-    this ensemble alone, and in this process when that pool has one worker
-    or there is one chunk; they are reduced in chunk-index order.
+    Chunks run on the enclosing worker_pool's workers, or on ones opened
+    for this ensemble alone, all in this process when there is one worker
+    or one chunk; they are reduced in chunk-index order.
     """
     if n < 1:
         raise ValueError(f"need at least one trajectory, got n={n}")

@@ -377,19 +377,24 @@ def test_rate_summary_schema(capsys):
 START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
 
-def count_pools(monkeypatch, inline=False):
+def count_pools(monkeypatch, inline=False, sent=None):
     """Replace the multiprocessing module montecarlo sees with one that
-    records the start method and worker count of every pool built through
-    it.  An inline pool runs its tasks in this process and starts none."""
+    records the start method and child count of every pool built through
+    it.  An inline pool runs its tasks in this process and starts none; it
+    appends the tasks of each imap call, as a list, to sent."""
     built = []
+
+    def inline_imap(func, tasks, chunksize):
+        if sent is not None:
+            sent.append(list(tasks))
+        return map(func, tasks)
 
     def get_context(method=None):
         def pool(*args, **kwargs):
             built.append((method, kwargs.get("processes")))
             if inline:
-                return SimpleNamespace(
-                    imap=lambda func, tasks, chunksize: map(func, tasks),
-                    terminate=lambda: None, join=lambda: None)
+                return SimpleNamespace(imap=inline_imap,
+                                       terminate=lambda: None, join=lambda: None)
             return multiprocessing.get_context(method).Pool(*args, **kwargs)
 
         return SimpleNamespace(Pool=pool)
@@ -410,7 +415,7 @@ def test_compare_builds_one_pool_per_command(tmp_path, monkeypatch, capsys):
     built = count_pools(monkeypatch)
     assert main(argv + ["--workers", "2", "--output", str(two)]) == 0
     capsys.readouterr()
-    assert built == [(START_METHOD, 2)]
+    assert built == [(START_METHOD, 1)]
     assert two.read_bytes() == one.read_bytes()
     assert multiprocessing.active_children() == []
 
@@ -442,7 +447,7 @@ def test_pool_forks_on_linux_only(platform, method, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     montecarlo.estimate_many(CASES["case1"], SchemeKind.ExpES, ["x"], 2,
                              5000, 3, workers=2)
-    assert built == [(method, 2)]
+    assert built == [(method, 1)]
 
 
 @pytest.mark.skipif(sys.platform != "linux",
@@ -467,7 +472,7 @@ def test_unguarded_script_with_workers_exits(tmp_path):
     assert math.isfinite(float(proc.stdout))
 
 
-@pytest.mark.parametrize("cpus,pools", [(3, [(START_METHOD, 3)]), (None, [])])
+@pytest.mark.parametrize("cpus,pools", [(3, [(START_METHOD, 2)]), (None, [])])
 def test_pool_is_capped_at_the_cpu_count(cpus, pools, tmp_path, monkeypatch,
                                          capsys):
     # --workers 5000 asks for one process per worker; an unknown CPU count
@@ -484,6 +489,24 @@ def test_pool_is_capped_at_the_cpu_count(cpus, pools, tmp_path, monkeypatch,
     assert built == pools
     assert many.read_bytes() == one.read_bytes()
     assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize("n", [4096, 4097, 12283, 20480])
+def test_pool_gets_the_chunks_this_process_does_not_run(workers, n,
+                                                        monkeypatch):
+    # this process runs chunk i when i % workers == 0; the pool gets every
+    # other chunk, in order, through one imap call, and one chunk needs no
+    # pool at all
+    sent = []
+    count_pools(monkeypatch, inline=True, sent=sent)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    montecarlo.estimate_many(CASES["case1"], SchemeKind.ExpES, ["x"], 2, n,
+                             3, workers=workers)
+    starts = range(0, n, montecarlo.CHUNK_TRAJECTORIES)
+    expected = [[s for i, s in enumerate(starts) if i % workers]]
+    assert [[task[4] for task in tasks] for tasks in sent] == (
+        expected if len(starts) > 1 else [])
 
 
 def test_single_chunk_commands_spawn_nothing(monkeypatch, capsys):

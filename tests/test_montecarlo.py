@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import os
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -331,9 +332,32 @@ def test_shared_pool_survives_a_failing_ensemble():
     with worker_pool(2):
         with pytest.raises(ValueError):
             estimate_many(CASE1, SchemeKind.ExpES, ["x"], p=-1, workers=2, **kw)
-        assert len(multiprocessing.active_children()) == 2
+        assert len(multiprocessing.active_children()) == 1
         again = estimate_many(CASE1, SchemeKind.ExpES, ["x"], p=2, workers=2, **kw)
     assert again == serial
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [2, 3, 4])
+@pytest.mark.parametrize("n", [4096, 4097, 12283, 20480])
+def test_every_worker_count_matches_one_worker(workers, n, monkeypatch):
+    # 1, 2, 3 and 5 chunks, two of them ending in a short chunk; this
+    # process runs chunks i % workers == 0 and workers - 1 forked or
+    # spawned children the rest
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    kinds = [SchemeKind.ExpES, SchemeKind.SES]
+    serial = estimate_many(CASE1, kinds, ["x", "x2"], 3, n, 5, workers=1)
+    assert estimate_many(CASE1, kinds, ["x", "x2"], 3, n, 5,
+                         workers=workers) == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_yields_in_task_order(monkeypatch):
+    # the children's results come in between this process's own, each at
+    # its task's place
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    with worker_pool(3) as pool:
+        assert list(pool.imap(abs, [-i for i in range(7)])) == list(range(7))
     assert multiprocessing.active_children() == []
 
 
