@@ -31,10 +31,8 @@ from .models import (
 )
 from .montecarlo import (
     TEST_FUNCTIONS,
-    AllDivergedError,
     Estimate,
     WeakErrorTable,
-    estimate_expectation,
     estimate_many,
     exp_moment_estimate,
     moment_sweep,
@@ -76,8 +74,8 @@ __all__ = [
     "check_hypotheses", "drift_eval", "kappa",
     "GaussianStream", "make_stream",
     "SchemeKind", "DIVERGENCE_CAP", "alive", "step", "step_values",
-    "Estimate", "WeakErrorTable", "AllDivergedError", "TEST_FUNCTIONS",
-    "estimate_expectation", "estimate_many", "simulate_paths", "weak_error_sweep",
+    "Estimate", "WeakErrorTable", "TEST_FUNCTIONS",
+    "estimate_many", "simulate_paths", "weak_error_sweep",
     "moment_sweep", "exp_moment_estimate",
     "ReferenceMethod", "ReferenceValue", "DivergentIntegralError",
     "QuadratureNotConverged", "UnreliableReferenceError",

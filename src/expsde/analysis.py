@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from .montecarlo import AllDivergedError, weak_error_sweep, worker_pool
+from .montecarlo import weak_error_sweep, worker_pool
 from .reference import (
     DEFAULT_N0,
     DEFAULT_P_REF,
@@ -39,11 +39,11 @@ DEFAULT_FIT_P_MIN = 2
 DEFAULT_FIT_P_MAX = 7  # beyond this the Monte Carlo error tends to dominate
 
 # the failures a table cell records; anything else is a bug and propagates
-_CELL_ERRORS = (UnreliableReferenceError, AllDivergedError, ValueError)
+_CELL_ERRORS = (UnreliableReferenceError, ValueError)
 
 
 class InsufficientDataError(ValueError):
-    """Fewer than two usable rows in the requested fit range."""
+    """Fewer than two usable levels in the requested fit range."""
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,9 @@ def fit_rate(table, p_min: int = DEFAULT_FIT_P_MIN,
 
     Rows outside [p_min, p_max] are ignored; rows inside it that are
     marked diverged or whose error is missing, nonpositive, or non-finite
-    are excluded and listed in the result.  Fewer than two usable rows
-    raises InsufficientDataError.  A slope near 1 is first-order weak
-    convergence.
+    are excluded and listed in the result.  Usable rows at fewer than two
+    distinct levels raise InsufficientDataError.  A slope near 1 is
+    first-order weak convergence.
     """
     used = []
     dts = []
@@ -77,9 +77,11 @@ def fit_rate(table, p_min: int = DEFAULT_FIT_P_MIN,
             continue
         used.append((row.p, err))
         dts.append(row.dt)
-    if len(used) < 2:
+    if len(set(dts)) < 2:
+        # rows that repeat one level give no slope either
+        same = " at one level" if len(used) > 1 else ""
         raise InsufficientDataError(
-            f"insufficient data: {len(used)} usable rows in p range "
+            f"insufficient data: {len(used)} usable rows{same} in p range "
             f"[{p_min}, {p_max}] (excluded: {excluded})"
         )
     xs = [math.log2(dt) for dt in dts]
@@ -128,7 +130,7 @@ class CaseTableReport:
         raise KeyError(f"no cell ({case}, {kind.value}, {test_fn})")
 
 
-def _default_fit_range(p_list):
+def _fit_range(p_list):
     lo = max(DEFAULT_FIT_P_MIN, min(p_list))
     hi = min(DEFAULT_FIT_P_MAX, max(p_list))
     if lo > hi:
@@ -157,9 +159,7 @@ def _sweep_cells(model, kinds, fs, refs, p_list, n, seed, workers):
 
 def build_case_table(cases, schemes, test_functions, p_list, n, seed,
                      n0=DEFAULT_N0, p_ref=DEFAULT_P_REF, workers: int = 1,
-                     cache_dir=None, use_cache: bool = True,
-                     fit_p_min: Optional[int] = None,
-                     fit_p_max: Optional[int] = None) -> CaseTableReport:
+                     cache_dir=None, use_cache: bool = True) -> CaseTableReport:
     """One weak-error table plus rate fit per (case, scheme, test function).
 
     cases is a mapping name -> model (or an iterable of such pairs).  The
@@ -169,22 +169,19 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
     weak_error_sweep steps every scheme of a case on one pass of draws per
     level and applies every test function to those paths.  Every ensemble
     of the table runs on one worker_pool.  A domain failure (unreliable
-    reference, all paths diverged, a ValueError from the model or the
-    inputs, too few usable rows) is recorded on the affected cells and
-    never aborts the rest of the table; any other exception propagates.
+    reference, a ValueError from the model or the inputs, too few usable
+    rows) is recorded on the affected cells and never aborts the rest of
+    the table; any other exception propagates.
 
-    The fit range defaults to [2, 7] clipped to p_list.
+    The fit range is [2, 7] clipped to p_list, or all of p_list when the
+    two do not overlap.
     """
     if not p_list:
         raise ValueError("p_list must be nonempty")
     case_items = list(dict(cases).items())
     kinds = [SchemeKind.from_id(s) if isinstance(s, str) else s for s in schemes]
     test_functions = list(test_functions)
-    lo, hi = _default_fit_range(p_list)
-    if fit_p_min is not None:
-        lo = fit_p_min
-    if fit_p_max is not None:
-        hi = fit_p_max
+    lo, hi = _fit_range(p_list)
     cells = []
     ref_options = dict(n0=n0, p_ref=p_ref, seed=seed, workers=workers,
                        cache_dir=cache_dir, use_cache=use_cache)

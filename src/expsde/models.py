@@ -84,15 +84,8 @@ class PrototypeModel:
         return self.b0
 
     def drift(self, x):
-        """b(x) = b0 + b1*x - b2*x^(2*alpha-1) on an ndarray of states.
-
-        With b1 = 0 the b1*x term is skipped: b0 + 0*x is b0 for every
-        finite x, so the value is the same bit for bit (at x = +-inf it may
-        be infinite where the full sum gives NaN)."""
-        power = self.b2 * np.power(x, 2.0 * self.alpha - 1.0)
-        if self.b1 == 0.0:
-            return self.b0 - power
-        return self.b0 + self.b1 * x - power
+        """b(x) = b0 + b1*x - b2*x^(2*alpha-1) on an ndarray of states."""
+        return self.b0 + self.b1 * x - self.b2 * np.power(x, 2.0 * self.alpha - 1.0)
 
     def drift_slope(self, xa1, ito=0.0):
         """b1 - (b2 + ito)*xa1^2 as a new array, from xa1 = x^(alpha-1).
@@ -161,7 +154,6 @@ class GeneralDriftModel:
     alpha: float
     x0: float = 1.0
     horizon: float = 1.0
-    drift_deriv: Optional[Callable[[float], float]] = None
     growth: Optional[GrowthMetadata] = None
     validate: InitVar[bool] = True
 
@@ -256,8 +248,7 @@ def drift_eval(model, x, xa1=None, ito=None):
     b = model.drift(x)
     if ito is None:
         return b
-    # a zero b(0) is not subtracted: b - 0 is b exactly
-    out = np.divide(np.subtract(b, b0) if b0 != 0.0 else b, x)
+    out = np.divide(np.subtract(b, b0), x)
     correction = np.multiply(ito, xa1)
     np.multiply(correction, xa1, out=correction)
     np.subtract(out, correction, out=out)

@@ -47,10 +47,8 @@ __all__ = [
     "Estimate",
     "WeakErrorRow",
     "WeakErrorTable",
-    "AllDivergedError",
     "TEST_FUNCTIONS",
     "resolve_test_function",
-    "estimate_expectation",
     "estimate_many",
     "weak_error_sweep",
     "moment_sweep",
@@ -62,10 +60,6 @@ __all__ = [
 CHUNK_TRAJECTORIES = 4096
 TILE_STEPS = 32  # steps per standard_normals call (see _lockstep_paths)
 MARKER_FRACTION = 0.01  # a table row renders "-" above this diverged share
-
-
-class AllDivergedError(RuntimeError):
-    """Every trajectory of an ensemble diverged; no mean is available."""
 
 
 @dataclass(frozen=True)
@@ -438,22 +432,6 @@ def estimate_many(model, kind, fs, p, n, seed, workers: int = 1):
     """
     return _estimate(model, _scheme_kinds(kind), fs, p, n, seed, workers,
                      _terminal)
-
-
-def estimate_expectation(model, kind, f, p, n, seed, workers: int = 1) -> Estimate:
-    """Mean and stderr of f over the non-diverged terminals of an n-path
-    ensemble at refinement level p.  Raises AllDivergedError if nothing
-    survives, and TypeError, before simulating, unless kind is one
-    SchemeKind."""
-    _one_kind(kind)
-    if n < 2:
-        raise ValueError(f"need n >= 2 for a standard error, got n={n}")
-    est = estimate_many(model, kind, [f], p, n, seed, workers=workers)[0]
-    if est.n_effective == 0:
-        raise AllDivergedError(
-            f"all {n} trajectories diverged (scheme {kind.value}, p={p})"
-        )
-    return est
 
 
 def weak_error_sweep(model, kind, f, p_list, n, reference, seed,

@@ -110,22 +110,23 @@ def _seed_sequence_keys(entropy: list, n_words: int) -> np.ndarray:
                      for i in range(n_words)], axis=1)
 
 
-def stream_keys(seed: int, block: int, *tail: int) -> np.ndarray:
-    """SFC64 seed states of the KEY_BLOCK spawn indices t = block*KEY_BLOCK + i.
+def stream_keys(seed: int, block: int, level: int) -> np.ndarray:
+    """SFC64 seed states of the KEY_BLOCK lane groups g = block*KEY_BLOCK + i
+    at one level.
 
-    Row i equals SeedSequence(entropy=seed, spawn_key=(t, *tail))
+    Row i equals SeedSequence(entropy=seed, spawn_key=(g, level))
     .generate_state(STATE_WORDS, np.uint64), the state SFC64 takes from
-    that SeedSequence.  Streams use t = lane group and tail = (level,).
+    that SeedSequence.
     """
-    if seed < 0 or block < 0 or any(v < 0 for v in tail):
-        raise ValueError("seed, block and spawn-key entries must be nonnegative")
+    if seed < 0 or block < 0 or level < 0:
+        raise ValueError("seed, block and level must be nonnegative")
     run = _words(seed)
     # with a spawn key, SeedSequence pads short run entropy to the pool size
     run += [0] * (_POOL_SIZE - len(run))
     first = _words(block * KEY_BLOCK)
     # the low word runs over the block; the block shares every higher word
     low = np.arange(first[0], first[0] + KEY_BLOCK, dtype=np.uint32)
-    fixed = first[1:] + [w for v in tail for w in _words(v)]
+    fixed = first[1:] + _words(level)
     entropy = ([np.full(KEY_BLOCK, w, dtype=np.uint32) for w in run] + [low]
                + [np.full(KEY_BLOCK, w, dtype=np.uint32) for w in fixed])
     return _seed_sequence_keys(entropy, STATE_WORDS)

@@ -124,7 +124,7 @@ def test_insufficient_data_raises():
 def small_report(**kw):
     defaults = dict(cases={"case1": CASE1}, schemes=[SchemeKind.ExpES],
                     test_functions=["x"], p_list=[2, 3, 4], n=400, seed=7,
-                    n0=500, p_ref=6, use_cache=False, fit_p_min=2, fit_p_max=4)
+                    n0=500, p_ref=6, use_cache=False)
     defaults.update(kw)
     return build_case_table(**defaults)
 
@@ -222,10 +222,22 @@ def test_one_cells_failure_lands_on_it_alone():
 def test_divergent_rows_leave_fit_note():
     # case 2 tamed-Euler rows at tiny p are all marked, so no fit is possible
     report = small_report(cases={"case2": CASE2}, schemes=[SchemeKind.TES],
-                          p_list=[2, 3], n=600, fit_p_min=2, fit_p_max=3)
+                          p_list=[2, 3], n=600)
     cell = report.cell("case2", "tes", "x")
     assert cell.table is not None
     assert cell.fit is None
+    assert "insufficient data" in cell.error
+
+
+def test_repeated_level_leaves_fit_note():
+    # two usable rows at one level span no dt range, so they give no slope
+    ref = SimpleNamespace(value=0.0)
+    table = weak_error_sweep(CASE1, SchemeKind.ExpES, "x", [3, 3], 300, ref, 0)
+    assert [(r.p, r.diverged) for r in table.rows] == [(3, False), (3, False)]
+    with pytest.raises(InsufficientDataError, match="2 usable rows at one level"):
+        fit_rate(table)
+    cell = small_report(p_list=[3, 3]).cell("case1", "exp-es", "x")
+    assert cell.table is not None and cell.fit is None
     assert "insufficient data" in cell.error
 
 
@@ -256,7 +268,7 @@ def test_detail_csv_shape_and_determinism():
 
 def test_detail_csv_marks_divergent_rows():
     report = small_report(cases={"case2": CASE2}, schemes=[SchemeKind.TES],
-                          p_list=[2], n=600, fit_p_min=2, fit_p_max=2)
+                          p_list=[2], n=600)
     buf = io.StringIO()
     write_detail_csv(report, buf)
     row = buf.getvalue().splitlines()[1].split(",")
@@ -278,7 +290,7 @@ def test_summary_csv():
 
 def test_summary_csv_dash_on_failed_fit():
     report = small_report(cases={"case2": CASE2}, schemes=[SchemeKind.TES],
-                          p_list=[2, 3], n=600, fit_p_min=2, fit_p_max=3)
+                          p_list=[2, 3], n=600)
     buf = io.StringIO()
     write_summary_csv(report, buf)
     assert buf.getvalue().splitlines()[1].split(",")[3] == "-"
@@ -287,7 +299,7 @@ def test_summary_csv_dash_on_failed_fit():
 def test_compare_renders_dash_cells():
     report = small_report(cases={"case2": CASE2},
                           schemes=[SchemeKind.TES, SchemeKind.ExpES],
-                          p_list=[2, 6], n=600, fit_p_min=2, fit_p_max=6)
+                          p_list=[2, 6], n=600)
     text = render_compare_csv(report)
     lines = text.splitlines()
     assert lines[0] == "case,scheme,test_fn,p2,p6"

@@ -188,10 +188,10 @@ def test_one_kind_apis_reject_scheme_sequences(monkeypatch):
     model = CASES["case1"]
     both = [SchemeKind.ExpES, SchemeKind.TES]
     with pytest.raises(TypeError, match="SchemeKind"):
-        montecarlo.estimate_expectation(model, both, "x", 3, 300, 0)
-    with pytest.raises(TypeError, match="SchemeKind"):
         montecarlo.moment_sweep(model, both, [1, 2], 3, 300, 0)
     with pytest.raises(TypeError, match="SchemeKind"):
         montecarlo.exp_moment_estimate(model, (SchemeKind.ExpES,), 0.01, 3, 300, 0)
     with pytest.raises(TypeError, match="SchemeKind"):
-        montecarlo.estimate_expectation(model, "exp-es", "x", 3, 300, 0)
+        montecarlo.moment_sweep(model, "exp-es", [1, 2], 3, 300, 0)
+    with pytest.raises(TypeError, match="SchemeKind"):
+        montecarlo.exp_moment_estimate(model, "exp-es", 0.01, 3, 300, 0)

@@ -14,9 +14,7 @@ from expsde.cli import CASES
 from expsde.models import (GeneralDriftModel, GrowthMetadata,
                            InsufficientMetadataError, PrototypeModel)
 from expsde.montecarlo import (
-    AllDivergedError,
     TEST_FUNCTIONS,
-    estimate_expectation,
     estimate_many,
     exp_moment_estimate,
     moment_sweep,
@@ -35,8 +33,8 @@ CASE2 = PrototypeModel(b2=3.0, sigma=1.0, alpha=1.25)
 
 
 def test_constant_function_exact():
-    est = estimate_expectation(CASE1, SchemeKind.ExpES, lambda x: np.ones_like(x),
-                               p=2, n=500, seed=1)
+    est = estimate_many(CASE1, SchemeKind.ExpES, [lambda x: np.ones_like(x)],
+                        p=2, n=500, seed=1)[0]
     assert est.mean == 1.0
     assert est.stderr == 0.0
     assert est.n_effective == 500
@@ -50,23 +48,23 @@ def test_engine_matches_scalar_simulation():
         path_terminal(CASE1, SchemeKind.ExpES, p, make_stream(seed, i, p))[0]
         for i in range(n)
     ])
-    est = estimate_expectation(CASE1, SchemeKind.ExpES, "x", p=p, n=n, seed=seed)
+    est = estimate_many(CASE1, SchemeKind.ExpES, ["x"], p=p, n=n, seed=seed)[0]
     assert est.mean == np.sum(terminals) / n
 
 
 def test_same_seed_reproducible():
-    a = estimate_expectation(CASE1, SchemeKind.SES, "x", p=3, n=300, seed=5)
-    b = estimate_expectation(CASE1, SchemeKind.SES, "x", p=3, n=300, seed=5)
+    a = estimate_many(CASE1, SchemeKind.SES, ["x"], p=3, n=300, seed=5)[0]
+    b = estimate_many(CASE1, SchemeKind.SES, ["x"], p=3, n=300, seed=5)[0]
     assert a == b
-    c = estimate_expectation(CASE1, SchemeKind.SES, "x", p=3, n=300, seed=6)
+    c = estimate_many(CASE1, SchemeKind.SES, ["x"], p=3, n=300, seed=6)[0]
     assert c.mean != a.mean
 
 
 def test_worker_count_invariance():
     # two chunks, reduced identically regardless of the worker pool
     kw = dict(p=2, n=6000, seed=17)
-    serial = estimate_expectation(CASE1, SchemeKind.ExpES, "x", workers=1, **kw)
-    parallel = estimate_expectation(CASE1, SchemeKind.ExpES, "x", workers=2, **kw)
+    serial = estimate_many(CASE1, SchemeKind.ExpES, ["x"], workers=1, **kw)[0]
+    parallel = estimate_many(CASE1, SchemeKind.ExpES, ["x"], workers=2, **kw)[0]
     assert serial == parallel
 
 
@@ -92,19 +90,20 @@ def test_tamed_scheme_divergence_counted():
 
 
 def test_bounded_function_bounded_mean():
-    est = estimate_expectation(CASE2, SchemeKind.ExpES, "exp_neg_x2", p=4, n=2000, seed=2)
+    est = estimate_many(CASE2, SchemeKind.ExpES, ["exp_neg_x2"], p=4, n=2000, seed=2)[0]
     assert abs(est.mean) <= 1.0
 
 
-def test_all_diverged_raises():
-    with pytest.raises(AllDivergedError):
-        estimate_expectation(CASE1, SchemeKind.ExpES,
-                             lambda x: np.full_like(x, np.nan), p=2, n=50, seed=1)
+def test_all_diverged_gives_no_estimate():
+    est = estimate_many(CASE1, SchemeKind.ExpES, [lambda x: np.full_like(x, np.nan)],
+                        p=2, n=50, seed=1)[0]
+    assert est.n_effective == 0 and est.n_diverged == 50
+    assert math.isnan(est.mean) and est.stderr == math.inf
 
 
 def test_sweep_single_row_is_estimate_plus_subtraction():
     ref = SimpleNamespace(value=0.25)
-    est = estimate_expectation(CASE1, SchemeKind.ExpES, "x", p=3, n=500, seed=4)
+    est = estimate_many(CASE1, SchemeKind.ExpES, ["x"], p=3, n=500, seed=4)[0]
     table = weak_error_sweep(CASE1, SchemeKind.ExpES, "x", [3], 500, ref, seed=4)
     row = table.row(3)
     assert row.estimate == est
@@ -113,7 +112,7 @@ def test_sweep_single_row_is_estimate_plus_subtraction():
 
 
 def test_sweep_zero_error_when_reference_equals_mean():
-    est = estimate_expectation(CASE1, SchemeKind.ExpES, "x", p=2, n=200, seed=9)
+    est = estimate_many(CASE1, SchemeKind.ExpES, ["x"], p=2, n=200, seed=9)[0]
     ref = SimpleNamespace(value=est.mean)
     table = weak_error_sweep(CASE1, SchemeKind.ExpES, "x", [2], 200, ref, seed=9)
     assert table.row(2).abs_error == 0.0

@@ -152,10 +152,6 @@ def test_bulk_keys_equal_seed_sequence(seed, trajectory, level):
         entropy=seed, spawn_key=(trajectory, level)).generate_state(3, np.uint64)
     assert keys.shape == (KEY_BLOCK, 3) and keys.dtype == np.uint64
     assert np.array_equal(keys[index], want)
-    # spawn key (trajectory,), the key of a stream shared by every level
-    unlevelled = np.random.SeedSequence(
-        entropy=seed, spawn_key=(trajectory,)).generate_state(3, np.uint64)
-    assert np.array_equal(stream_keys(seed, block)[index], unlevelled)
 
 
 @fixed
