@@ -189,17 +189,20 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
         for name, model in case_items:
             try:
                 refs = fine_grid_reference(model, test_functions, **ref_options)
-            except _CELL_ERRORS:
+            except UnreliableReferenceError as exc:
+                refs = exc.refs  # each unreliable entry holds its own error
+            except ValueError:
                 # the failure may be one test function's: resolve each on
                 # its own so that it lands on that function's cells alone
                 refs = [None] * len(test_functions)
-            ref_errors = {}
             for j, f in enumerate(test_functions):
                 if refs[j] is None:
                     try:
                         refs[j] = fine_grid_reference(model, f, **ref_options)
                     except _CELL_ERRORS as exc:
-                        ref_errors[j] = f"reference failed: {exc}"
+                        refs[j] = exc
+            ref_errors = {j: f"reference failed: {ref}" for j, ref in enumerate(refs)
+                          if isinstance(ref, Exception)}
             good = [j for j in range(len(test_functions)) if j not in ref_errors]
             tables = dict(zip(good, _sweep_cells(
                 model, kinds, [test_functions[j] for j in good],

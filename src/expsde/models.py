@@ -30,6 +30,8 @@ __all__ = [
     "drift_eval",
     "kappa",
     "check_hypotheses",
+    "alpha_gate_ok",
+    "max_moment_order",
     "exp_moment_bound",
 ]
 
@@ -44,6 +46,19 @@ class InsufficientMetadataError(ValueError):
             "general drift model lacks growth metadata: missing "
             + ", ".join(self.missing)
         )
+
+
+def _check_invariants(model, *nonnegative):
+    """Raise ValueError unless alpha > 1, sigma, x0 and the horizon are
+    positive, and each field named in nonnegative is >= 0."""
+    if not model.alpha > 1.0:
+        raise ValueError(f"alpha must exceed 1, got {model.alpha}")
+    for name in ("sigma", "x0", "horizon"):
+        if not getattr(model, name) > 0.0:
+            raise ValueError(f"{name} must be positive, got {getattr(model, name)}")
+    for name in nonnegative:
+        if getattr(model, name) < 0.0:
+            raise ValueError(f"{name} must be nonnegative, got {getattr(model, name)}")
 
 
 @dataclass(frozen=True)
@@ -65,19 +80,8 @@ class PrototypeModel:
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate):
-        if not validate:
-            return
-        if not self.alpha > 1.0:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not self.x0 > 0.0:
-            raise ValueError(f"x0 must be positive, got {self.x0}")
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        for name in ("b0", "b1", "b2"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+        if validate:
+            _check_invariants(self, "b0", "b1", "b2")
 
     @property
     def b_at_zero(self) -> float:
@@ -160,16 +164,7 @@ class GeneralDriftModel:
     def __post_init__(self, validate):
         if not validate:
             return
-        if not self.alpha > 1.0:
-            raise ValueError(f"alpha must exceed 1, got {self.alpha}")
-        if not self.sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
-        if not self.x0 > 0.0:
-            raise ValueError(f"x0 must be positive, got {self.x0}")
-        if not self.horizon > 0.0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
-        if self.b_at_zero < 0.0:
-            raise ValueError("b_at_zero must be nonnegative")
+        _check_invariants(self, "b_at_zero")
         try:
             at0 = float(self.drift(0.0))
         except Exception:
@@ -264,26 +259,79 @@ def _bracket(alpha: float) -> float:
     )
 
 
+def _growth(model, *fields) -> GrowthMetadata:
+    """A general drift's growth metadata, which must declare every field
+    named; InsufficientMetadataError lists the ones it lacks."""
+    g = model.growth
+    missing = [f"growth.{name}" for name in fields
+               if g is None or getattr(g, name) == ()]
+    if missing:
+        raise InsufficientMetadataError(missing)
+    return g
+
+
+def _b2(model) -> float:
+    """B2 of the growth bound: the prototype's b2, or a general drift's growth.B2."""
+    if isinstance(model, GeneralDriftModel):
+        return _growth(model, "B2").B2
+    return model.b2
+
+
+def _drift_slack(model, bracket: float) -> float:
+    """B2 - 3*sigma^2*alpha - budget, the budget as kappa gives it."""
+    a = model.alpha
+    s2 = model.sigma * model.sigma
+    budget = 0.5 * s2 * bracket
+    if model.b_at_zero > 0.0:
+        budget = max(0.5 * a * a, budget)
+    return _b2(model) - 3.0 * s2 * a - budget
+
+
 def kappa(model: PrototypeModel) -> float:
     """Slack of the order-one parameter constraint for the prototype model.
 
     For b0 = 0:  B2 - 3*sigma^2*alpha - (sigma^2/2) * max{12a-19, 8a-10,
     5a^2/(2a-1)}.  For b0 > 0 the subtracted budget is the max of a^2/2 and
     the same sigma^2/2 bracket.  Nonnegative slack means the hypothesis
-    holds (for b0 > 0 this additionally needs alpha > 3/2, which is the
-    caller's concern; the arithmetic here is well defined for any alpha > 1).
+    holds (for b0 > 0 this additionally needs alpha > 3/2, see
+    alpha_gate_ok; the arithmetic here is well defined for any alpha > 1).
     """
+    return _drift_slack(model, _bracket(model.alpha))
+
+
+def _general_slack(model: GeneralDriftModel) -> float:
+    """The smaller of a general drift's drift slack, whose bracket comes
+    from the declared exponents gamma_up, and its derivative slack."""
+    g = model.growth
     a = model.alpha
+    g2, g3, g4 = g.gamma_up[1:]
+    beta = max(3.0 * (g2 + 1.0), g2 + g3 + 2.0, g4 + 1.0)
+    return min(_drift_slack(model, max(2.0 * beta, beta + 2.0 * a) - 1.0),
+               g.B2p - model.sigma * model.sigma * a * (8.5 * a - 3.0))
+
+
+def alpha_gate_ok(model) -> bool:
+    """False when b(0) > 0 and alpha <= 3/2: the order-one constraint and
+    the exponential-moment bound for a drift with b(0) > 0 need alpha > 3/2."""
+    return not (model.b_at_zero > 0.0 and model.alpha <= 1.5)
+
+
+def max_moment_order(model) -> float:
+    """The largest provably finite moment order 1 + 2*B2/sigma^2 (inf for
+    sigma = 0); B2 as in exp_moment_bound."""
     s2 = model.sigma * model.sigma
-    budget = 0.5 * s2 * _bracket(a)
-    if model.b0 > 0.0:
-        budget = max(0.5 * a * a, budget)
-    return model.b2 - 3.0 * s2 * a - budget
+    return 1.0 + 2.0 * _b2(model) / s2 if s2 > 0.0 else math.inf
 
 
-def _beta_bar(growth: GrowthMetadata) -> float:
-    g2, g3, g4 = growth.gamma_up[1], growth.gamma_up[2], growth.gamma_up[3]
-    return max(3.0 * (g2 + 1.0), g2 + g3 + 2.0, g4 + 1.0)
+def exp_moment_bound(model) -> float:
+    """Largest mu with a provably finite exponential moment of the path
+    integral of X^(2 alpha - 2).  B2 is the prototype's b2 or a general
+    drift's growth.B2, without which InsufficientMetadataError is raised."""
+    b2 = _b2(model)
+    s2 = model.sigma * model.sigma
+    if model.b_at_zero == 0.0:
+        return (s2 + 2.0 * b2) ** 2 / (8.0 * s2)
+    return b2 * s2
 
 
 def check_hypotheses(model) -> HypothesisReport:
@@ -292,119 +340,36 @@ def check_hypotheses(model) -> HypothesisReport:
     h1: alpha > 1, sigma > 0, x0 > 0.  h4: derivative growth exponents obey
     gamma_(i) <= i-1 (automatic for the polynomial prototype).  h5: the
     order-one constraint, reported through its slack kappa (h5_ok iff
-    kappa >= 0; when the b0 > 0 constraint is inapplicable because
-    alpha <= 3/2, kappa is NaN and a note carries the raw slack).
-    max_moment_order is the largest finite moment order 1 + 2*B2/sigma^2.
+    kappa >= 0; kappa is NaN unless alpha > 1, and when the b(0) > 0
+    constraint is inapplicable because alpha <= 3/2, kappa is NaN and a
+    note carries the raw slack).  The slack is kappa(model) for the
+    prototype and the smaller of the drift and derivative slacks for a
+    general drift, which needs all of its growth metadata.
     """
     if isinstance(model, GeneralDriftModel):
-        return _check_general(model)
-    return _check_prototype(model)
-
-
-def exp_moment_bound(model) -> float:
-    """Largest mu with a provably finite exponential moment of the path
-    integral of X^(2 alpha - 2).  B2 is the prototype's b2 or a general
-    drift's growth.B2, without which InsufficientMetadataError is raised."""
-    if isinstance(model, GeneralDriftModel):
-        if model.growth is None:
-            raise InsufficientMetadataError(["growth.B2"])
-        b2 = model.growth.B2
+        g = _growth(model, "B1", "B2", "B1p", "B2p", "gamma_up", "gamma_down")
+        slack, used = _general_slack, "general"
+        h4 = all(g.gamma_down[i] <= float(i) for i in range(4))
+        last = () if h4 else (
+            f"h4 violated: gamma_down = {g.gamma_down} exceeds (0,1,2,3)",)
     else:
-        b2 = model.b2
-    s2 = model.sigma * model.sigma
-    if model.b_at_zero == 0.0:
-        return (s2 + 2.0 * b2) ** 2 / (8.0 * s2)
-    return b2 * s2
-
-
-def _check_prototype(model: PrototypeModel) -> HypothesisReport:
+        # polynomial drift: every derivative is again polynomial with
+        # local-Lipschitz exponent at most its order minus one
+        slack, used, h4 = kappa, "b0>0" if model.b0 > 0.0 else "b0=0", True
+        last = ("derived drift-derivative bound uses B2' = (2*alpha-1)*B2 = "
+                f"{(2.0 * model.alpha - 1.0) * model.b2:.6g}",)
     notes = []
     h1 = (model.alpha > 1.0) and (model.sigma > 0.0) and (model.x0 > 0.0)
     if not h1:
-        notes.append(
-            f"h1 violated: need alpha > 1, sigma > 0, x0 > 0 "
-            f"(got alpha={model.alpha}, sigma={model.sigma}, x0={model.x0})"
-        )
-    h4 = True  # polynomial drift: every derivative is again polynomial with
-    # local-Lipschitz exponent at most its order minus one
-
-    s2 = model.sigma * model.sigma
-    max_order = 1.0 + 2.0 * model.b2 / s2 if s2 > 0.0 else math.inf
-
-    if model.b0 > 0.0:
-        used = "b0>0"
-        raw = kappa(model) if model.alpha > 1.0 else math.nan
-        if model.alpha <= 1.5:
-            k = math.nan
-            h5 = False
-            notes.append(
-                "the constant-drift constraint needs alpha > 3/2; "
-                f"alpha={model.alpha} so the order-one condition is not applicable "
-                f"(raw slack {raw:.6g})"
-            )
-        else:
-            k = raw
-            h5 = k >= 0.0
-    else:
-        used = "b0=0"
-        k = kappa(model) if model.alpha > 1.0 else math.nan
-        h5 = (k >= 0.0) if not math.isnan(k) else False
-
-    notes.append(f"derived drift-derivative bound uses B2' = (2*alpha-1)*B2 = {(2.0 * model.alpha - 1.0) * model.b2:.6g}")
-    return HypothesisReport(
-        h1_ok=h1,
-        h4_ok=h4,
-        h5_ok=bool(h5),
-        kappa=k,
-        kappa_constraint_used=used,
-        max_moment_order=max_order,
-        notes=tuple(notes),
-    )
-
-
-def _check_general(model: GeneralDriftModel) -> HypothesisReport:
-    if model.growth is None:
-        raise InsufficientMetadataError(
-            ["growth.B1", "growth.B2", "growth.B1p", "growth.B2p",
-             "growth.gamma_up", "growth.gamma_down"]
-        )
-    g = model.growth
-    missing = [f"growth.{name}" for name in ("gamma_up", "gamma_down")
-               if len(getattr(g, name)) != 4]
-    if missing:
-        raise InsufficientMetadataError(missing)
-    notes = []
-    h1 = (model.alpha > 1.0) and (model.sigma > 0.0) and (model.x0 > 0.0)
-    if not h1:
-        notes.append("h1 violated (need alpha > 1, sigma > 0, x0 > 0)")
-    h4 = all(g.gamma_down[i] <= float(i) for i in range(4))
-    if not h4:
-        notes.append(f"h4 violated: gamma_down = {g.gamma_down} exceeds (0,1,2,3)")
-
-    a = model.alpha
-    s2 = model.sigma * model.sigma
-    bb = _beta_bar(g)
-    body = 0.5 * s2 * (max(2.0 * bb, bb + 2.0 * a) - 1.0)
-    if model.b_at_zero > 0.0:
-        body = max(0.5 * a * a, body)
-    slack_drift = g.B2 - 3.0 * s2 * a - body
-    slack_deriv = g.B2p - s2 * a * (8.5 * a - 3.0)
-    k = min(slack_drift, slack_deriv)
-    h5 = k >= 0.0
-    if model.b_at_zero > 0.0 and a <= 1.5:
-        notes.append(
-            "the constant-drift constraint needs alpha > 3/2; order-one "
-            f"condition not applicable (raw slack {k:.6g})"
-        )
+        notes.append(f"h1 violated: need alpha > 1, sigma > 0, x0 > 0 (got "
+                     f"alpha={model.alpha}, sigma={model.sigma}, x0={model.x0})")
+    k = slack(model) if model.alpha > 1.0 else math.nan
+    if not alpha_gate_ok(model):
+        notes.append("the constant-drift constraint needs alpha > 3/2; "
+                     f"alpha={model.alpha} so the order-one condition is not "
+                     f"applicable (raw slack {k:.6g})")
         k = math.nan
-        h5 = False
-    max_order = 1.0 + 2.0 * g.B2 / s2 if s2 > 0.0 else math.inf
     return HypothesisReport(
-        h1_ok=h1,
-        h4_ok=bool(h4),
-        h5_ok=bool(h5),
-        kappa=k,
-        kappa_constraint_used="general",
-        max_moment_order=max_order,
-        notes=tuple(notes),
-    )
+        h1_ok=h1, h4_ok=h4, h5_ok=bool(k >= 0.0), kappa=k,
+        kappa_constraint_used=used, max_moment_order=max_moment_order(model),
+        notes=tuple(notes) + last)

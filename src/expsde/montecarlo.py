@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import check_hypotheses, exp_moment_bound
+from .models import alpha_gate_ok, exp_moment_bound, max_moment_order
 from .paths import make_stream
 from .schemes import DIVERGENCE_CAP, SchemeKind, alive, step_values
 
@@ -486,15 +486,17 @@ def moment_sweep(model, kind, orders, p, n, seed, workers: int = 1):
 
     Warns when an order exceeds the model's largest provably finite moment
     order (the estimate is still computed; blow-up across p is exactly what
-    the caller may be probing).  Raises TypeError, before simulating,
-    unless kind is one SchemeKind."""
+    the caller may be probing).  A GeneralDriftModel needs its declared
+    growth.B2, which sets that order; without it InsufficientMetadataError
+    is raised.  Raises TypeError, before simulating, unless kind is one
+    SchemeKind."""
     _one_kind(kind)
-    report = check_hypotheses(model)
+    bound = max_moment_order(model)
     for order in orders:
-        if order > report.max_moment_order:
+        if order > bound:
             warnings.warn(
                 f"moment order {order} exceeds the provable bound "
-                f"{report.max_moment_order:.6g}; estimate may blow up",
+                f"{bound:.6g}; estimate may blow up",
                 stacklevel=2,
             )
     funcs = [(lambda o: (lambda x: np.power(x, float(o))))(o) for o in orders]
@@ -505,9 +507,9 @@ def moment_sweep(model, kind, orders, p, n, seed, workers: int = 1):
 def exp_moment_estimate(model, kind, mu, p, n, seed, workers: int = 1) -> Estimate:
     """Empirical E[exp(mu * I_T)] with I_T the left-endpoint Riemann sum of
     X^(2 alpha - 2) on the simulation grid.  Overflowing trajectories count
-    as diverged.  A GeneralDriftModel needs its growth metadata (B2 sets the
-    bound checked against mu); without it InsufficientMetadataError is
-    raised.  Raises TypeError, before simulating, unless kind is one
+    as diverged.  A GeneralDriftModel needs its declared growth.B2, which
+    sets the bound checked against mu; without it InsufficientMetadataError
+    is raised.  Raises TypeError, before simulating, unless kind is one
     SchemeKind."""
     _one_kind(kind)
     bound = exp_moment_bound(model)
@@ -517,7 +519,7 @@ def exp_moment_estimate(model, kind, mu, p, n, seed, workers: int = 1) -> Estima
             "for this model; the estimate may be infinite in the limit",
             stacklevel=2,
         )
-    if model.b_at_zero > 0.0 and model.alpha <= 1.5:
+    if not alpha_gate_ok(model):
         warnings.warn(
             "exponential-moment bound is only established for alpha > 3/2 "
             "when b(0) > 0",

@@ -90,7 +90,9 @@ class QuadratureNotConverged(RuntimeError):
 
 
 class UnreliableReferenceError(RuntimeError):
-    """Too many diverged trajectories for a trustworthy reference."""
+    """Too many diverged trajectories for a trustworthy reference.  As
+    raised by fine_grid_reference, its refs attribute holds every entry's
+    ReferenceValue, or that entry's own error."""
 
 
 def gamma_function(x: float) -> float:
@@ -356,11 +358,13 @@ def fine_grid_reference(model, f, n0: int = DEFAULT_N0,
 
     Deterministic in (model, f, n0, p_ref, seed) regardless of worker
     count.  More than 0.1% diverged trajectories (for an f, counting its
-    non-finite values) raises UnreliableReferenceError, after the entries
-    before it are cached.  Results for named test functions are cached on
-    disk under cache_dir (default: $EXPSDE_CACHE_DIR if set), one record
-    per (model, f) keyed by the full parameter tuple; a cache hit skips the
-    simulation entirely.
+    non-finite values) makes an entry unreliable: after every reliable
+    entry is cached, the first unreliable entry's UnreliableReferenceError
+    is raised, its refs attribute holding the result with each unreliable
+    entry's own error in its place.  Results for named test functions are
+    cached on disk under cache_dir (default: $EXPSDE_CACHE_DIR if set), one
+    record per (model, f) keyed by the full parameter tuple; a cache hit
+    skips the simulation entirely.
     """
     if n0 < 1:
         raise ValueError(f"n0 must be >= 1, got {n0}")
@@ -392,12 +396,17 @@ def fine_grid_reference(model, f, n0: int = DEFAULT_N0,
                              p=p_ref, n=n0, seed=seed, workers=workers)
         for i, est in zip(misses, ests):
             if est.n_diverged > MAX_REF_DIVERGED_FRACTION * est.n_requested:
-                raise UnreliableReferenceError(
+                refs[i] = UnreliableReferenceError(
                     f"{est.n_diverged} of {est.n_requested} reference trajectories "
                     f"diverged (> {MAX_REF_DIVERGED_FRACTION:.1%}); reference untrustworthy"
                 )
+                continue
             refs[i] = reference_value(est.mean, est.stderr)
             # a repeated f was stored at its first entry
             if keys[i] is not None and keys[i] not in keys[:i]:
                 _cache_store(cdir / CACHE_FILENAME, keys[i], est.mean, est.stderr)
+    for ref in refs:
+        if isinstance(ref, UnreliableReferenceError):
+            ref.refs = refs
+            raise ref
     return refs[0] if single else refs

@@ -152,6 +152,50 @@ def test_reference_failure_recorded_not_raised():
     assert good.error is None
 
 
+def _recording_reference_ensembles(monkeypatch):
+    from expsde import reference
+
+    calls = []
+
+    def recording(model, kind, fs, *args, _orig=reference.estimate_many, **kw):
+        calls.append(list(fs))
+        return _orig(model, kind, fs, *args, **kw)
+
+    monkeypatch.setattr(reference, "estimate_many", recording)
+    return calls
+
+
+def test_failing_reference_ensemble_is_simulated_once(monkeypatch):
+    blow = PrototypeModel(b0=0.0, b1=100.0, b2=0.0, sigma=0.1, alpha=1.125)
+    fs = ["x", "x2", "exp_neg_x2"]
+    calls = _recording_reference_ensembles(monkeypatch)
+    report = small_report(cases={"blow": blow}, test_functions=fs)
+    assert calls == [fs]
+    for f in fs:
+        cell = report.cell("blow", "exp-es", f)
+        assert cell.table is None and cell.reference is None
+        assert cell.error == ("reference failed: 500 of 500 reference trajectories "
+                              "diverged (> 0.1%); reference untrustworthy")
+
+
+def _nowhere_finite(x):
+    return np.full_like(x, np.nan)
+
+
+def test_unreliable_reference_lands_on_its_function_alone(monkeypatch):
+    # only the callable's reference is unreliable: the named functions keep
+    # the references and cells they get without it
+    fs = ["x", _nowhere_finite, "x2"]
+    calls = _recording_reference_ensembles(monkeypatch)
+    report = small_report(test_functions=fs)
+    assert calls == [fs]
+    bad = report.cell("case1", "exp-es", _nowhere_finite)
+    assert bad.table is None and bad.error.startswith("reference failed: 500 of 500 ")
+    alone = small_report(test_functions=["x", "x2"])
+    for f in ("x", "x2"):
+        assert report.cell("case1", "exp-es", f) == alone.cell("case1", "exp-es", f)
+
+
 def test_programming_errors_propagate(monkeypatch):
     # only domain failures become table cells; a model missing part of the
     # protocol, or a drift that only takes scalars, is a bug and raises
@@ -319,18 +363,12 @@ def test_csv_file_destination(tmp_path):
 
 
 def test_compare_simulates_one_reference_per_case(tmp_path, monkeypatch, capsys):
-    from expsde import cli, reference
+    from expsde import cli
 
     argv = ["compare", "--case", "case1", "--test-fn", "x", "--test-fn", "x2",
             "--test-fn", "exp_neg_x2", "--p-min", "2", "--p-max", "3",
             "--n", "500", "--n0", "2048", "--p-ref", "8", "--no-cache"]
-    calls = []
-
-    def recording(model, kind, fs, *args, _orig=reference.estimate_many, **kw):
-        calls.append(list(fs))
-        return _orig(model, kind, fs, *args, **kw)
-
-    monkeypatch.setattr(reference, "estimate_many", recording)
+    calls = _recording_reference_ensembles(monkeypatch)
     assert cli.main(argv + ["--output", str(tmp_path / "one.csv")]) == 0
     assert calls == [["x", "x2", "exp_neg_x2"]]
 

@@ -73,6 +73,78 @@ def test_check_inline_model(capsys):
     assert out.startswith("inline:")
 
 
+CHECK_OUTPUT = """\
+case1: b0=0 b1=0 b2=2 sigma=0.1 alpha=1.5
+H1: satisfied
+H4: satisfied
+H5: satisfied, κ≈1.93
+max provable moment order: 401
+note: derived drift-derivative bound uses B2' = (2*alpha-1)*B2 = 4
+case2: b0=0 b1=0 b2=3 sigma=1 alpha=1.25
+H1: satisfied
+H4: satisfied
+H5: violated, κ≈-3.35
+max provable moment order: 7
+note: derived drift-derivative bound uses B2' = (2*alpha-1)*B2 = 4.5
+case3: b0=0 b1=0 b2=1 sigma=1 alpha=1.5
+H1: satisfied
+H4: satisfied
+H5: violated, κ≈-6.31
+max provable moment order: 3
+note: derived drift-derivative bound uses B2' = (2*alpha-1)*B2 = 2
+case4: b0=1 b1=1 b2=0.4 sigma=0.1 alpha=3
+H1: satisfied
+H4: satisfied
+H5: violated, κ≈-4.19
+max provable moment order: 81
+note: derived drift-derivative bound uses B2' = (2*alpha-1)*B2 = 2
+case5: b0=0 b1=0 b2=10 sigma=0.5 alpha=1.125
+H1: satisfied
+H4: satisfied
+H5: satisfied, κ≈8.52
+max provable moment order: 81
+note: derived drift-derivative bound uses B2' = (2*alpha-1)*B2 = 12.5
+case6: b0=0 b1=0 b2=0.01 sigma=0.1 alpha=1.25
+H1: satisfied
+H4: satisfied
+H5: violated, κ≈-0.0535
+max provable moment order: 3
+note: derived drift-derivative bound uses B2' = (2*alpha-1)*B2 = 0.015
+case7: b0=0 b1=0 b2=0.4 sigma=0.1 alpha=3
+H1: satisfied
+H4: satisfied
+H5: satisfied, κ≈0.225
+max provable moment order: 81
+note: derived drift-derivative bound uses B2' = (2*alpha-1)*B2 = 2
+inline: b0=0.5 b1=0 b2=5 sigma=0.1 alpha=1.4
+H1: satisfied
+H4: satisfied
+H5: violated, κ undefined
+max provable moment order: 1001
+note: the constant-drift constraint needs alpha > 3/2; alpha=1.4 so the order-one condition is not applicable (raw slack 3.978)
+note: derived drift-derivative bound uses B2' = (2*alpha-1)*B2 = 9
+inline: b0=1 b1=0 b2=5 sigma=0.1 alpha=2
+H1: satisfied
+H4: satisfied
+H5: satisfied, κ≈2.94
+max provable moment order: 1001
+note: derived drift-derivative bound uses B2' = (2*alpha-1)*B2 = 15
+"""
+
+
+def test_check_output_pinned(capsys):
+    # the whole report, byte for byte, for every catalog case and two inline
+    # models with b0 > 0 on either side of alpha = 3/2
+    out = ""
+    for argv in ([["--case", f"case{i}"] for i in range(1, 8)]
+                 + [["--b0", "0.5", "--b2", "5", "--sigma", "0.1", "--alpha", "1.4"],
+                    ["--b0", "1", "--b2", "5", "--sigma", "0.1", "--alpha", "2"]]):
+        rc, text, _ = run(["check"] + argv, capsys)
+        assert rc == 0
+        out += text
+    assert out == CHECK_OUTPUT
+
+
 # -------------------------------------------------------------- exit codes
 
 class ConfigText(str):

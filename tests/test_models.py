@@ -19,6 +19,7 @@ from expsde.models import (
     check_hypotheses,
     drift_eval,
     kappa,
+    max_moment_order,
 )
 
 # catalog parameter tuples (b0, b1, b2, sigma, alpha)
@@ -214,6 +215,55 @@ def test_general_drift_missing_metadata():
     with pytest.raises(InsufficientMetadataError) as exc:
         check_hypotheses(m)
     assert any("gamma" in f or "B2" in f for f in exc.value.missing)
+
+
+def test_general_drift_alpha_gate():
+    # b(0) > 0 needs alpha > 3/2 for the general class as for the prototype,
+    # in the prototype's words
+    for alpha, gated in ((1.4, True), (1.5, True), (1.6, False)):
+        m = GeneralDriftModel(
+            drift=lambda x, a=alpha: 0.5 - 5.0 * np.power(x, 2.0 * a - 1.0),
+            b_at_zero=0.5, sigma=0.1, alpha=alpha,
+            growth=GrowthMetadata(B1=0.0, B2=5.0, B1p=0.0, B2p=20.0,
+                                  gamma_up=(0.0, 0.0, 0.0, 1.0),
+                                  gamma_down=(0.0, 0.0, 0.0, 1.0)),
+        )
+        r = check_hypotheses(m)
+        assert math.isnan(r.kappa) == gated
+        assert r.h5_ok == (not gated)
+        gate_notes = [n for n in r.notes if "alpha > 3/2" in n]
+        assert len(gate_notes) == gated
+        if gated:
+            assert gate_notes[0].startswith(
+                "the constant-drift constraint needs alpha > 3/2; "
+                f"alpha={alpha} so the order-one condition is not applicable "
+                "(raw slack ")
+
+
+def test_max_moment_order_needs_only_growth_b2():
+    m = GeneralDriftModel(drift=lambda x: -2.0 * x * x, b_at_zero=0.0, sigma=0.1,
+                          alpha=1.5, growth=GrowthMetadata(B1=0.0, B2=2.0, B1p=0.0, B2p=4.0))
+    assert max_moment_order(m) == max_moment_order(make_case(1))
+    with pytest.raises(InsufficientMetadataError) as exc:
+        check_hypotheses(m)
+    assert exc.value.missing == ["growth.gamma_up", "growth.gamma_down"]
+    bare = GeneralDriftModel(drift=lambda x: -2.0 * x * x, b_at_zero=0.0,
+                             sigma=0.1, alpha=1.5)
+    with pytest.raises(InsufficientMetadataError) as exc:
+        max_moment_order(bare)
+    assert exc.value.missing == ["growth.B2"]
+
+
+def test_both_classes_state_shared_invariants_alike():
+    for bad in (dict(alpha=1.0), dict(sigma=0.0), dict(x0=-1.0), dict(horizon=0.0)):
+        shared = {**dict(sigma=0.1, alpha=1.5), **bad}
+        with pytest.raises(ValueError) as proto:
+            PrototypeModel(b2=1.0, **shared)
+        with pytest.raises(ValueError) as general:
+            GeneralDriftModel(drift=np.negative, b_at_zero=0.0, **shared)
+        assert str(general.value) == str(proto.value)
+    with pytest.raises(ValueError, match="^b_at_zero must be nonnegative, got -1.0$"):
+        GeneralDriftModel(drift=lambda x: x - 1.0, b_at_zero=-1.0, sigma=0.1, alpha=1.5)
 
 
 def test_general_drift_b_at_zero_mismatch():

@@ -234,6 +234,25 @@ def test_general_drift_model_runs_like_prototype():
                                              seed=2, use_cache=False)], 1 << 6)
 
 
+def test_moment_sweep_needs_only_growth_b2():
+    # the provable moment order reads B2 alone: a general drift declaring no
+    # derivative exponents runs like case1, and warns above the same order
+    # 1 + 2*B2/sigma^2 = 401
+    general = GeneralDriftModel(drift=_case1_drift, b_at_zero=0.0, sigma=0.1,
+                                alpha=1.5, growth=GrowthMetadata(B1=0.0, B2=2.0,
+                                                                 B1p=0.0, B2p=4.0))
+    got = moment_sweep(general, SchemeKind.ExpES, [1, 2], 3, 200, 1)
+    want = moment_sweep(CASES["case1"], SchemeKind.ExpES, [1, 2], 3, 200, 1)
+    assert list(got) == [1, 2]
+    assert_agree(list(got.values()), list(want.values()), 1 << 3)
+    for model in (general, CASES["case1"]):
+        with pytest.warns(UserWarning, match="order 402 exceeds the provable bound 401;"):
+            moment_sweep(model, SchemeKind.ExpES, [402], 3, 200, 1)
+    with pytest.raises(InsufficientMetadataError) as exc:
+        moment_sweep(CASE1_GENERAL, SchemeKind.ExpES, [1], 3, 200, 1)
+    assert exc.value.missing == ["growth.B2"]
+
+
 def _case4_drift(x):
     return 1.0 + 1.0 * x - 0.4 * np.power(x, 5.0)
 
