@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional
 
 from .montecarlo import weak_error_sweep, worker_pool
@@ -40,6 +39,14 @@ DEFAULT_FIT_P_MAX = 7  # beyond this the Monte Carlo error tends to dominate
 
 # the failures a table cell records; anything else is a bug and propagates
 _CELL_ERRORS = (UnreliableReferenceError, ValueError)
+
+
+def _outcome(call, *args, **kwargs):
+    """call(*args, **kwargs), or the _CELL_ERRORS exception it raised."""
+    try:
+        return call(*args, **kwargs)
+    except _CELL_ERRORS as exc:
+        return exc
 
 
 class InsufficientDataError(ValueError):
@@ -142,7 +149,7 @@ def _sweep_cells(model, kinds, fs, refs, p_list, n, seed, workers):
     """tables[j][i], the weak-error table of fs[j] under kinds[i], from one
     weak_error_sweep over every cell.  A domain failure is retried one
     scheme at a time, then one cell at a time, so that it lands on the
-    cells it belongs to alone: their entry is its message instead."""
+    cells it belongs to alone: their entry is the exception instead."""
     try:
         return weak_error_sweep(model, kinds, fs, p_list, n, refs, seed,
                                 workers=workers)
@@ -154,7 +161,7 @@ def _sweep_cells(model, kinds, fs, refs, p_list, n, seed, workers):
         if len(fs) > 1:
             return [_sweep_cells(model, kinds, [f], [ref], p_list, n, seed, workers)[0]
                     for f, ref in zip(fs, refs)]
-        return [[str(exc)]]
+        return [[exc]]
 
 
 def build_case_table(cases, schemes, test_functions, p_list, n, seed,
@@ -165,7 +172,9 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
     cases is a mapping name -> model (or an iterable of such pairs).  The
     fine-grid MC references of a case are resolved in one call, which
     simulates one reference ensemble for every test function the cache does
-    not hold; each is shared across schemes, and so is the sweep: one
+    not hold and gives each its value or its own error; a ValueError of the
+    call as a whole is retried one test function at a time.  Each reference
+    is shared across schemes, and so is the sweep: one
     weak_error_sweep steps every scheme of a case on one pass of draws per
     level and applies every test function to those paths.  Every ensemble
     of the table runs on one worker_pool.  A domain failure (unreliable
@@ -187,35 +196,25 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
                        cache_dir=cache_dir, use_cache=use_cache)
     with worker_pool(workers):
         for name, model in case_items:
-            try:
-                refs = fine_grid_reference(model, test_functions, **ref_options)
-            except UnreliableReferenceError as exc:
-                refs = exc.refs  # each unreliable entry holds its own error
-            except ValueError:
+            refs = _outcome(fine_grid_reference, model, test_functions, **ref_options)
+            if isinstance(refs, Exception):
                 # the failure may be one test function's: resolve each on
                 # its own so that it lands on that function's cells alone
-                refs = [None] * len(test_functions)
-            for j, f in enumerate(test_functions):
-                if refs[j] is None:
-                    try:
-                        refs[j] = fine_grid_reference(model, f, **ref_options)
-                    except _CELL_ERRORS as exc:
-                        refs[j] = exc
-            ref_errors = {j: f"reference failed: {ref}" for j, ref in enumerate(refs)
-                          if isinstance(ref, Exception)}
-            good = [j for j in range(len(test_functions)) if j not in ref_errors]
-            tables = dict(zip(good, _sweep_cells(
-                model, kinds, [test_functions[j] for j in good],
-                [refs[j] for j in good], list(p_list), n, seed, workers)
-                if good else []))
-            for j, f in enumerate(test_functions):
-                if j in ref_errors:
-                    cells += [CaseCell(name, kind, f, None, None, None, ref_errors[j])
-                              for kind in kinds]
+                refs = [_outcome(fine_grid_reference, model, f, **ref_options)
+                        for f in test_functions]
+            good = [(f, ref) for f, ref in zip(test_functions, refs)
+                    if not isinstance(ref, Exception)]
+            swept = iter(_sweep_cells(model, kinds, [f for f, _ in good],
+                                      [ref for _, ref in good], list(p_list), n,
+                                      seed, workers) if good else ())
+            for f, ref in zip(test_functions, refs):
+                if isinstance(ref, Exception):
+                    cells += [CaseCell(name, kind, f, None, None, None,
+                                       f"reference failed: {ref}") for kind in kinds]
                     continue
-                for kind, table in zip(kinds, tables[j]):
-                    if isinstance(table, str):
-                        cells.append(CaseCell(name, kind, f, refs[j], None, None, table))
+                for kind, table in zip(kinds, next(swept)):
+                    if isinstance(table, Exception):
+                        cells.append(CaseCell(name, kind, f, ref, None, None, str(table)))
                         continue
                     fit = None
                     note = None
@@ -223,7 +222,7 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
                         fit = fit_rate(table, lo, hi)
                     except InsufficientDataError as exc:
                         note = str(exc)
-                    cells.append(CaseCell(name, kind, f, refs[j], table, fit, note))
+                    cells.append(CaseCell(name, kind, f, ref, table, fit, note))
     return CaseTableReport(cells=tuple(cells), p_list=tuple(p_list),
                            fit_range=(lo, hi))
 
@@ -236,59 +235,45 @@ SUMMARY_HEADER = ["case", "scheme", "test_fn", "slope", "r_squared",
                   "p_min", "p_max"]
 
 
-def _writer_to(dest):
-    if hasattr(dest, "write"):
-        return dest, False
-    return open(Path(dest), "w", newline=""), True
+def write_detail_csv(report: CaseTableReport, out) -> None:
+    """One row per (cell, p) in the analysis schema, written to the text
+    stream out; floats via repr so a rerun of the same config is
+    byte-identical."""
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(DETAIL_HEADER)
+    for cell in report.cells:
+        if cell.table is None:
+            continue
+        for row in sorted(cell.table.rows, key=lambda r: r.p):
+            w.writerow([
+                cell.case,
+                cell.scheme.value,
+                cell.test_fn,
+                row.p,
+                repr(row.dt),
+                repr(row.estimate.mean),
+                repr(row.estimate.stderr),
+                repr(cell.reference.value),
+                cell.reference.method.value,
+                "-" if row.abs_error is None else repr(row.abs_error),
+                int(row.diverged),
+            ])
 
 
-def write_detail_csv(report: CaseTableReport, dest) -> None:
-    """One row per (cell, p) in the analysis schema; floats via repr so a
-    rerun of the same config is byte-identical."""
-    fh, owned = _writer_to(dest)
-    try:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(DETAIL_HEADER)
-        for cell in report.cells:
-            if cell.table is None:
-                continue
-            for row in sorted(cell.table.rows, key=lambda r: r.p):
-                w.writerow([
-                    cell.case,
-                    cell.scheme.value,
-                    cell.test_fn,
-                    row.p,
-                    repr(row.dt),
-                    repr(row.estimate.mean),
-                    repr(row.estimate.stderr),
-                    repr(cell.reference.value),
-                    cell.reference.method.value,
-                    "-" if row.abs_error is None else repr(row.abs_error),
-                    int(row.diverged),
-                ])
-    finally:
-        if owned:
-            fh.close()
-
-
-def write_summary_csv(report: CaseTableReport, dest) -> None:
-    """One slope row per cell; cells whose fit failed carry "-"."""
-    fh, owned = _writer_to(dest)
-    try:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(SUMMARY_HEADER)
-        lo, hi = report.fit_range
-        for cell in report.cells:
-            if cell.fit is None:
-                slope = r2 = "-"
-            else:
-                slope = repr(cell.fit.slope)
-                r2 = repr(cell.fit.r_squared)
-            w.writerow([cell.case, cell.scheme.value, cell.test_fn,
-                        slope, r2, lo, hi])
-    finally:
-        if owned:
-            fh.close()
+def write_summary_csv(report: CaseTableReport, out) -> None:
+    """One slope row per cell, written to the text stream out; cells whose
+    fit failed carry "-"."""
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(SUMMARY_HEADER)
+    lo, hi = report.fit_range
+    for cell in report.cells:
+        if cell.fit is None:
+            slope = r2 = "-"
+        else:
+            slope = repr(cell.fit.slope)
+            r2 = repr(cell.fit.r_squared)
+        w.writerow([cell.case, cell.scheme.value, cell.test_fn,
+                    slope, r2, lo, hi])
 
 
 def render_compare_csv(report: CaseTableReport) -> str:
@@ -301,11 +286,8 @@ def render_compare_csv(report: CaseTableReport) -> str:
         for p in report.p_list:
             text = "-"
             if cell.table is not None:
-                try:
-                    row = cell.table.row(p)
-                except KeyError:
-                    row = None
-                if row is not None and not row.diverged and row.abs_error is not None:
+                row = cell.table.row(p)
+                if not row.diverged and row.abs_error is not None:
                     text = f"{row.abs_error:.3e}"
             fields.append(text)
         lines.append(",".join(fields))

@@ -30,7 +30,7 @@ from .analysis import (
     write_summary_csv,
 )
 from .models import PrototypeModel, check_hypotheses
-from .montecarlo import TEST_FUNCTIONS, simulate_paths
+from .montecarlo import TEST_FUNCTIONS, resolve_test_function, simulate_paths
 from .paths import make_stream
 from .reference import (
     DEFAULT_N0,
@@ -55,7 +55,7 @@ CASES = {
 
 ALL_SCHEME_IDS = tuple(k.value for k in SchemeKind)
 COMPARE_SCHEMES = ("exp-es", "ses", "sms", "tes", "stes")
-MODEL_KEYS = ("b0", "b1", "b2", "sigma", "alpha", "x0", "horizon")
+MODEL_KEYS = tuple(f.name for f in fields(PrototypeModel))
 # finest level any command accepts; a path at level p takes 2^p steps
 MAX_LEVEL = 30
 
@@ -105,7 +105,7 @@ class RunConfig:
     scheme: tuple = _opt((), _cast_str_tuple,
                          f"scheme id, repeatable; one of {', '.join(ALL_SCHEME_IDS)}")
     test_fn: tuple = _opt(("x",), _cast_str_tuple,
-                          "test function id, repeatable: x, x2, inv_x, exp_neg_x2")
+                          f"test function id, repeatable: {', '.join(TEST_FUNCTIONS)}")
     p_min: int = _opt(2, int, "coarsest level (default 2)", low=0)
     p_max: int = _opt(7, int, "finest level (default 7)", high=MAX_LEVEL)
     p: int = _opt(8, int, "single level for simulate (default 8)", low=0, high=MAX_LEVEL)
@@ -201,16 +201,13 @@ def _validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"{opt.name} must be <= {high}, got {value}")
     if cfg.p_min > cfg.p_max:
         raise ConfigError(f"empty p range: p_min={cfg.p_min} > p_max={cfg.p_max}")
-    for s in cfg.scheme:
-        try:
+    try:
+        for s in cfg.scheme:
             SchemeKind.from_id(s)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
-    for f in cfg.test_fn:
-        if f not in TEST_FUNCTIONS:
-            raise ConfigError(
-                f"unknown test function {f!r}; built-ins: {sorted(TEST_FUNCTIONS)}"
-            )
+        for f in cfg.test_fn:
+            resolve_test_function(f)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
     if cfg.output and not Path(cfg.output).parent.is_dir():
         raise ConfigError(f"output directory {str(Path(cfg.output).parent)!r} does not exist")
 
@@ -262,20 +259,26 @@ def _divergence_dominated(report) -> bool:
     return saw_cell
 
 
-def _build_report(cfg: RunConfig, default_schemes):
-    name, model = resolve_model(cfg)
-    schemes = cfg.scheme or default_schemes
-    p_list = list(range(cfg.p_min, cfg.p_max + 1))
-    report = build_case_table({name: model}, list(schemes), list(cfg.test_fn),
-                              p_list, cfg.n, cfg.seed, n0=cfg.n0,
-                              p_ref=cfg.p_ref, workers=cfg.workers,
-                              cache_dir=cfg.cache_dir,
-                              use_cache=not cfg.no_cache)
-    for cell in report.cells:
-        if cell.error:
-            print(f"warning: {cell.case}/{cell.scheme.value}/{cell.test_fn}: "
-                  f"{cell.error}", file=sys.stderr)
-    return report
+def _table_command(default_schemes, write):
+    """The command that builds the one-case table over --scheme (else
+    default_schemes), warns of each failed cell on stderr and calls
+    write(report, out) on the command's destination."""
+    def command(cfg: RunConfig) -> int:
+        name, model = resolve_model(cfg)
+        report = build_case_table({name: model}, list(cfg.scheme or default_schemes),
+                                  list(cfg.test_fn),
+                                  list(range(cfg.p_min, cfg.p_max + 1)), cfg.n,
+                                  cfg.seed, n0=cfg.n0, p_ref=cfg.p_ref,
+                                  workers=cfg.workers, cache_dir=cfg.cache_dir,
+                                  use_cache=not cfg.no_cache)
+        for cell in report.cells:
+            if cell.error:
+                print(f"warning: {cell.case}/{cell.scheme.value}/{cell.test_fn}: "
+                      f"{cell.error}", file=sys.stderr)
+        with _destination(cfg) as out:
+            write(report, out)
+        return 1 if _divergence_dominated(report) else 0
+    return command
 
 
 # ---------------------------------------------------------------- commands
@@ -304,32 +307,14 @@ def cmd_reference(cfg: RunConfig) -> int:
                                seed=cfg.seed, workers=cfg.workers,
                                cache_dir=cfg.cache_dir,
                                use_cache=not cfg.no_cache)
+    for ref in refs:
+        if isinstance(ref, UnreliableReferenceError):
+            raise ref
     with _destination(cfg) as out:
         for f, ref in zip(cfg.test_fn, refs):
             out.write(f"{name} {f}: {ref.value!r} +- {ref.uncertainty:.3g} "
                       f"[{ref.method.value}]\n")
     return 0
-
-
-def cmd_weak_error(cfg: RunConfig) -> int:
-    report = _build_report(cfg, default_schemes=("exp-es",))
-    with _destination(cfg) as out:
-        write_detail_csv(report, out)
-    return 1 if _divergence_dominated(report) else 0
-
-
-def cmd_compare(cfg: RunConfig) -> int:
-    report = _build_report(cfg, default_schemes=COMPARE_SCHEMES)
-    with _destination(cfg) as out:
-        out.write(render_compare_csv(report))
-    return 1 if _divergence_dominated(report) else 0
-
-
-def cmd_rate(cfg: RunConfig) -> int:
-    report = _build_report(cfg, default_schemes=("exp-es",))
-    with _destination(cfg) as out:
-        write_summary_csv(report, out)
-    return 1 if _divergence_dominated(report) else 0
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
@@ -388,9 +373,15 @@ def build_parser() -> argparse.ArgumentParser:
     specs = [
         ("check", cmd_check, "evaluate the parameter hypotheses for a model"),
         ("reference", cmd_reference, "compute (and cache) reference expectations"),
-        ("weak-error", cmd_weak_error, "per-level weak-error table as CSV"),
-        ("compare", cmd_compare, "multi-scheme wide comparison table"),
-        ("rate", cmd_rate, "fitted convergence-rate summary as CSV"),
+        ("weak-error", _table_command(("exp-es",), write_detail_csv),
+         "per-level weak-error table as CSV"),
+        # render_compare_csv, like build_case_table, is looked up in this
+        # module on each call: bench/layers.py traces both through it
+        ("compare", _table_command(COMPARE_SCHEMES, lambda report, out:
+                                   out.write(render_compare_csv(report))),
+         "multi-scheme wide comparison table"),
+        ("rate", _table_command(("exp-es",), write_summary_csv),
+         "fitted convergence-rate summary as CSV"),
         ("simulate", cmd_simulate, "dump one trajectory as t,value CSV"),
     ]
     for name, func, help_text in specs:

@@ -79,7 +79,6 @@ class WeakErrorRow:
     p: int
     dt: float
     estimate: Estimate
-    reference: object
     abs_error: Optional[float]
     diverged: bool
 
@@ -471,7 +470,6 @@ def weak_error_sweep(model, kind, f, p_list, n, reference, seed,
                     p=p,
                     dt=model.horizon / (1 << p),
                     estimate=est,
-                    reference=ref,
                     abs_error=None if marked else abs(est.mean - ref.value),
                     diverged=marked,
                 ))

@@ -90,9 +90,9 @@ class QuadratureNotConverged(RuntimeError):
 
 
 class UnreliableReferenceError(RuntimeError):
-    """Too many diverged trajectories for a trustworthy reference.  As
-    raised by fine_grid_reference, its refs attribute holds every entry's
-    ReferenceValue, or that entry's own error."""
+    """Too many diverged trajectories for a trustworthy reference of one
+    test function: fine_grid_reference raises it for a single f and returns
+    it in that entry's place for a sequence."""
 
 
 def gamma_function(x: float) -> float:
@@ -358,12 +358,11 @@ def fine_grid_reference(model, f, n0: int = DEFAULT_N0,
 
     Deterministic in (model, f, n0, p_ref, seed) regardless of worker
     count.  More than 0.1% diverged trajectories (for an f, counting its
-    non-finite values) makes an entry unreliable: after every reliable
-    entry is cached, the first unreliable entry's UnreliableReferenceError
-    is raised, its refs attribute holding the result with each unreliable
-    entry's own error in its place.  Results for named test functions are
-    cached on disk under cache_dir (default: $EXPSDE_CACHE_DIR if set), one
-    record per (model, f) keyed by the full parameter tuple; a cache hit
+    non-finite values) make an entry unreliable: a single f raises its
+    UnreliableReferenceError, and a sequence holds that error in the
+    entry's place.  Results for named test functions are cached on disk
+    under cache_dir (default: $EXPSDE_CACHE_DIR if set), one record per
+    reliable (model, f) keyed by the full parameter tuple; a cache hit
     skips the simulation entirely.
     """
     if n0 < 1:
@@ -405,8 +404,6 @@ def fine_grid_reference(model, f, n0: int = DEFAULT_N0,
             # a repeated f was stored at its first entry
             if keys[i] is not None and keys[i] not in keys[:i]:
                 _cache_store(cdir / CACHE_FILENAME, keys[i], est.mean, est.stderr)
-    for ref in refs:
-        if isinstance(ref, UnreliableReferenceError):
-            ref.refs = refs
-            raise ref
+    if single and isinstance(refs[0], UnreliableReferenceError):
+        raise refs[0]
     return refs[0] if single else refs

@@ -34,7 +34,7 @@ def synth_table(errors, diverged=()):
     for p, err in errors.items():
         est = Estimate(mean=0.0, stderr=1e-5, n_effective=100, n_diverged=0)
         bad = p in diverged
-        rows.append(WeakErrorRow(p=p, dt=2.0 ** -p, estimate=est, reference=None,
+        rows.append(WeakErrorRow(p=p, dt=2.0 ** -p, estimate=est,
                                  abs_error=None if bad else err, diverged=bad))
     return WeakErrorTable(rows=tuple(rows))
 
@@ -105,7 +105,7 @@ def test_excluded_rows_listed():
     rows = list(table.rows)
     # a zero error cannot enter a log fit either
     rows[rows.index(table.row(4))] = WeakErrorRow(
-        p=4, dt=2.0 ** -4, estimate=rows[0].estimate, reference=None,
+        p=4, dt=2.0 ** -4, estimate=rows[0].estimate,
         abs_error=0.0, diverged=False)
     fit = fit_rate(WeakErrorTable(rows=tuple(rows)), 2, 5)
     assert fit.excluded == (3, 4)
@@ -358,7 +358,8 @@ def test_compare_renders_dash_cells():
 def test_csv_file_destination(tmp_path):
     report = small_report()
     out = tmp_path / "detail.csv"
-    write_detail_csv(report, out)
+    with open(out, "w", newline="") as fh:
+        write_detail_csv(report, fh)
     assert out.read_text().startswith("case,scheme")
 
 

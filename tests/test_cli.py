@@ -622,6 +622,20 @@ def test_reference_runs_one_ensemble_for_every_test_fn(monkeypatch, capsys):
     assert len(calls) == 1
     assert out == alone["x"] + alone["x2"] + alone["x"]
 
+def test_unreliable_reference_exits_1_and_writes_nothing(tmp_path, capsys):
+    # explosive linear growth: every reference path diverges, so the first
+    # test function's error is the command's, before the output is opened
+    out = tmp_path / "ref.txt"
+    rc, stdout, err = run(["reference", "--b1", "100", "--b2", "0", "--sigma", "0.1",
+                           "--alpha", "1.125", "--test-fn", "x", "--test-fn", "x2",
+                           "--n0", "500", "--p-ref", "6", "--no-cache",
+                           "--output", str(out)], capsys)
+    assert rc == 1
+    assert stdout == ""
+    assert err == ("error: 500 of 500 reference trajectories diverged (> 0.1%); "
+                   "reference untrustworthy\n")
+    assert not out.exists()
+
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 

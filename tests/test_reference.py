@@ -223,15 +223,15 @@ def _nowhere_finite(x):
 
 
 def test_fine_grid_sequence_keeps_reliable_entries(tmp_path):
-    # an f with no finite value is unreliable on its own: the error raised
-    # is its own, and carries every other entry's reference, each cached
+    # an f with no finite value is unreliable on its own: its entry holds
+    # its own error, and every other entry its reference, each cached
     kw = dict(n0=300, p_ref=4, seed=11)
     fs = ["x", _nowhere_finite, "x2", _nowhere_finite]
-    with pytest.raises(UnreliableReferenceError, match="^300 of 300 ") as exc:
-        fine_grid_reference(CASE1, fs, cache_dir=tmp_path, **kw)
-    refs = exc.value.refs
-    assert refs[1] is exc.value
-    assert isinstance(refs[3], UnreliableReferenceError) and str(refs[3]) == str(refs[1])
+    refs = fine_grid_reference(CASE1, fs, cache_dir=tmp_path, **kw)
+    for bad in (refs[1], refs[3]):
+        assert isinstance(bad, UnreliableReferenceError)
+        assert str(bad).startswith("300 of 300 ")
+    assert refs[1] is not refs[3]
     assert [refs[0], refs[2]] == [fine_grid_reference(CASE1, f, use_cache=False, **kw)
                                   for f in ("x", "x2")]
     assert len((tmp_path / "references.txt").read_text().splitlines()) == 2
