@@ -16,10 +16,11 @@ N workers are this process and the N - 1 children of one pool per
 worker_pool entry: a command opens it once around all of its ensembles,
 and the pool is only started at the first ensemble with more than one
 chunk, so a command that never needs it starts no process.  This process
-runs every chunk whose index is a multiple of N, the children the others.
-On Linux the children are forked, so they start with numpy and this
-package already imported; elsewhere they are spawned and import them
-afresh.
+runs every chunk whose index is a multiple of N, the children the others,
+each child fed its chunks over its own pipe.  On Linux the children are
+forked, so they start with numpy and this package already imported;
+elsewhere they are spawned and import them afresh.  A child that dies is
+an error, never a wait.
 
 Diverged trajectories (non-finite state, |state| above the cap, or a
 non-finite test-function value at the terminal, for example 1/x at an
@@ -247,10 +248,42 @@ def _worker(args):
     return _chunk_payload(*args)
 
 
+def _serve(conn):
+    """A child's loop: answer each (func, args) that conn brings with
+    (True, func(args)), or with (False, exc) when func raises exc, until
+    the parent closes its end or terminates this process."""
+    while True:
+        try:
+            func, args = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = True, func(args)
+        except Exception as exc:
+            reply = False, exc
+        conn.send(reply)
+
+
+class _Child:
+    """A pool child: its process, this process's end of its pipe, and the
+    number of tasks sent to it whose result has not been received."""
+
+    __slots__ = ("process", "conn", "unread")
+
+    def __init__(self, process, conn):
+        self.process, self.conn, self.unread = process, conn, 0
+
+
 class _LazyPool:
-    """`workers` workers, at most one per CPU: this process and a pool of
-    workers - 1 child processes, started at the first map with more than
-    one worker and more than one task.
+    """`workers` workers, at most one per CPU: this process and workers - 1
+    child processes, started at the first map with more than one worker
+    and more than one task.  Each child serves tasks over its own pipe
+    (_serve), at most two of them outstanding: the one it computes and the
+    one it starts once it has sent that result, so it never waits for this
+    process to hand it work, and an ensemble that fails leaves at most two
+    results per child, which the next ensemble reads and drops.  A child
+    that dies, or whose pipe breaks, closes the pool and raises
+    RuntimeError; an exception its task raises is raised here as it is.
 
     The children are forked on Linux and spawned elsewhere: macOS's
     Accelerate-backed numpy is not fork-safe, and Windows cannot fork.  A
@@ -258,33 +291,89 @@ class _LazyPool:
     a spawned one, or as this process, so neither the start method nor the
     process a task runs in changes an output bit.  A spawned child
     re-imports the calling script, which must therefore guard its entry
-    code with `if __name__ == "__main__":`.
+    code with `if __name__ == "__main__":`; an unguarded script makes its
+    children die at start-up, which raises the RuntimeError.
     """
 
     def __init__(self, workers):
         self.workers = min(workers, os.cpu_count() or 1)
-        self._pool = None
+        self._children = []
 
     def imap(self, func, arglist):
         """func over arglist, yielded in task order.  Task i runs in this
-        process when i % workers == 0 and in a child otherwise; the
-        children's tasks are handed to the pool before this process starts
-        its own."""
+        process when i % workers == 0 and in child i % workers - 1
+        otherwise; each child has its first two tasks before this process
+        starts its own."""
         w = self.workers
         if w <= 1 or len(arglist) <= 1:
             return map(func, arglist)
-        if self._pool is None:
+        if not self._children:
             ctx = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
-            self._pool = ctx.Pool(processes=w - 1)
-        shared = self._pool.imap(func, [a for i, a in enumerate(arglist) if i % w],
-                                 chunksize=1)
-        return (next(shared) if i % w else func(a) for i, a in enumerate(arglist))
+            for _ in range(w - 1):
+                conn, child_end = ctx.Pipe()
+                process = ctx.Process(target=_serve, args=(child_end,), daemon=True)
+                process.start()
+                child_end.close()
+                self._children.append(_Child(process, conn))
+        return self._imap(func, arglist)
+
+    def _imap(self, func, arglist):
+        w = self.workers
+        for child in self._children:
+            # the unread results of an ensemble that failed
+            while child.unread:
+                self._receive(child)
+        todo = [arglist[j::w] for j in range(1, w)]
+        for child, tasks in zip(self._children, todo):
+            for args in tasks[:2]:
+                self._send(child, func, args)
+        for i, args in enumerate(arglist):
+            if not i % w:
+                yield func(args)
+                continue
+            # task i is task i // w of its child, which gets its next task
+            # once this one's result is in
+            child, tasks = self._children[i % w - 1], todo[i % w - 1]
+            ok, value = self._receive(child)
+            if not ok:
+                raise value
+            if i // w + 2 < len(tasks):
+                self._send(child, func, tasks[i // w + 2])
+            yield value
+
+    def _send(self, child, func, args):
+        try:
+            child.conn.send((func, args))
+        except ConnectionError:
+            raise self._lost(child) from None
+        child.unread += 1
+
+    def _receive(self, child):
+        try:
+            reply = child.conn.recv()
+        except (EOFError, ConnectionError):
+            raise self._lost(child) from None
+        child.unread -= 1
+        return reply
+
+    def _lost(self, child):
+        """Close the pool, and the error that child's death makes."""
+        self.close()
+        return RuntimeError(
+            f"worker process {child.process.pid} exited with code "
+            f"{child.process.exitcode} before returning its chunk (a spawned "
+            "worker exits at start-up when the calling script does not keep "
+            'its entry code under `if __name__ == "__main__":`)')
 
     def close(self):
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
+        """Terminate every child and join it: SIGTERM, so that no child
+        stuck sending a result can block the close."""
+        for child in self._children:
+            child.process.terminate()
+        for child in self._children:
+            child.process.join()
+            child.conn.close()
+        self._children = []
 
 
 _open_pool = None
@@ -299,7 +388,9 @@ def worker_pool(workers):
     worker count and nested entries reuse its pool, whatever count they
     name.  No process is started until an ensemble with more than one chunk
     runs with more than one worker.  When the outermost entry exits, also
-    by an exception, its pool is terminated and its children joined.
+    by an exception, its children are terminated and joined.  A child that
+    dies closes the pool and raises RuntimeError; a later ensemble in the
+    block starts a new one.
     """
     global _open_pool
     if _open_pool is not None:

@@ -450,26 +450,50 @@ START_METHOD = "fork" if sys.platform == "linux" else "spawn"
 
 
 def count_pools(monkeypatch, inline=False, sent=None):
-    """Replace the multiprocessing module montecarlo sees with one that
-    records the start method and child count of every pool built through
-    it.  An inline pool runs its tasks in this process and starts none; it
-    appends the tasks of each imap call, as a list, to sent."""
+    """Replace the multiprocessing module montecarlo sees with one whose
+    contexts record, per pool, the start method and the number of children
+    started.  An inline context starts no process: each child's pipe runs
+    a task in this process as it is sent, appends (child index, task) to
+    sent, and checks that the child never has more than two results
+    unread."""
     built = []
 
-    def inline_imap(func, tasks, chunksize):
-        if sent is not None:
-            sent.append(list(tasks))
-        return map(func, tasks)
+    class InlineEnd:
+        def __init__(self, child):
+            self.child, self.replies = child, []
+
+        def send(self, task):
+            func, args = task
+            if sent is not None:
+                sent.append((self.child, args))
+            self.replies.append((True, func(args)))
+            assert len(self.replies) <= 2
+
+        def recv(self):
+            return self.replies.pop(0)
+
+        def close(self):
+            pass
 
     def get_context(method=None):
-        def pool(*args, **kwargs):
-            built.append((method, kwargs.get("processes")))
-            if inline:
-                return SimpleNamespace(imap=inline_imap,
-                                       terminate=lambda: None, join=lambda: None)
-            return multiprocessing.get_context(method).Pool(*args, **kwargs)
+        real = multiprocessing.get_context(method)
+        pool = len(built)
+        built.append((method, 0))
 
-        return SimpleNamespace(Pool=pool)
+        def pipe():
+            if inline:
+                return (InlineEnd(built[pool][1]),
+                        SimpleNamespace(close=lambda: None))
+            return real.Pipe()
+
+        def process(target, args, daemon):
+            built[pool] = (method, built[pool][1] + 1)
+            if inline:
+                return SimpleNamespace(start=lambda: None, terminate=lambda: None,
+                                       join=lambda: None)
+            return real.Process(target=target, args=args, daemon=daemon)
+
+        return SimpleNamespace(Pipe=pipe, Process=process)
 
     monkeypatch.setattr(montecarlo, "multiprocessing",
                         SimpleNamespace(get_context=get_context))
@@ -544,6 +568,37 @@ def test_unguarded_script_with_workers_exits(tmp_path):
     assert math.isfinite(float(proc.stdout))
 
 
+def test_unguarded_script_with_spawned_workers_fails_fast(tmp_path):
+    # where workers are spawned, each re-runs an unguarded script and dies
+    # starting a pool of its own, which must end the script with an error
+    # that names the guard, not with a wait.  The script's children inherit
+    # its stderr, so run() returning at all shows that none outlived it.
+    script = tmp_path / "unguarded.py"
+    script.write_text(
+        "import multiprocessing, os, sys\n"
+        "sys.platform = 'darwin'\n"
+        "os.cpu_count = lambda: 2\n"
+        "from expsde.cli import CASES\n"
+        "from expsde.montecarlo import estimate_many\n"
+        "from expsde.schemes import SchemeKind\n"
+        "try:\n"
+        "    estimate_many(CASES['case1'], SchemeKind.ExpES, ['x'], 3, 9000, 1,\n"
+        "                  workers=2)\n"
+        "finally:\n"
+        "    print('children left:', len(multiprocessing.active_children()),\n"
+        "          file=sys.stderr)\n")
+    src = str(Path(expsde.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode != 0
+    assert "exited with code 1" in proc.stderr
+    assert 'if __name__ == "__main__":' in proc.stderr
+    left = re.findall(r"children left: (\d+)", proc.stderr)
+    assert left and set(left) == {"0"}, proc.stderr
+
+
 @pytest.mark.parametrize("cpus,pools", [(3, [(START_METHOD, 2)]), (None, [])])
 def test_pool_is_capped_at_the_cpu_count(cpus, pools, tmp_path, monkeypatch,
                                          capsys):
@@ -564,20 +619,20 @@ def test_pool_is_capped_at_the_cpu_count(cpus, pools, tmp_path, monkeypatch,
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
-@pytest.mark.parametrize("n", [4096, 4097, 12283, 20480])
+@pytest.mark.parametrize("n", [4096, 4097, 12283, 20480, 20 * 4096])
 def test_pool_gets_the_chunks_this_process_does_not_run(workers, n,
                                                         monkeypatch):
-    # this process runs chunk i when i % workers == 0; the pool gets every
-    # other chunk, in order, through one imap call, and one chunk needs no
-    # pool at all
+    # this process runs chunk i when i % workers == 0 and child
+    # i % workers - 1 every other chunk, at most two at a time, and one
+    # chunk needs no pool at all
     sent = []
     count_pools(monkeypatch, inline=True, sent=sent)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     montecarlo.estimate_many(CASES["case1"], SchemeKind.ExpES, ["x"], 2, n,
                              3, workers=workers)
     starts = range(0, n, montecarlo.CHUNK_TRAJECTORIES)
-    expected = [[s for i, s in enumerate(starts) if i % workers]]
-    assert [[task[4] for task in tasks] for tasks in sent] == (
+    expected = [(i % workers - 1, s) for i, s in enumerate(starts) if i % workers]
+    assert sorted((child, task[4]) for child, task in sent) == sorted(
         expected if len(starts) > 1 else [])
 
 

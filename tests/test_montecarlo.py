@@ -3,6 +3,8 @@
 import math
 import multiprocessing
 import os
+import sys
+import time
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -10,11 +12,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from expsde.analysis import _CELL_ERRORS
 from expsde.cli import CASES
 from expsde.models import (GeneralDriftModel, GrowthMetadata,
                            InsufficientMetadataError, PrototypeModel)
 from expsde.montecarlo import (
     TEST_FUNCTIONS,
+    _estimate,
+    _terminal,
     estimate_many,
     exp_moment_estimate,
     moment_sweep,
@@ -357,11 +362,12 @@ def test_shared_pool_survives_a_failing_ensemble():
 
 
 @pytest.mark.parametrize("workers", [2, 3, 4])
-@pytest.mark.parametrize("n", [4096, 4097, 12283, 20480])
+@pytest.mark.parametrize("n", [4096, 4097, 12283, 20480, 20 * 4096])
 def test_every_worker_count_matches_one_worker(workers, n, monkeypatch):
-    # 1, 2, 3 and 5 chunks, two of them ending in a short chunk; this
+    # 1, 2, 3, 5 and 20 chunks, two of them ending in a short chunk; this
     # process runs chunks i % workers == 0 and workers - 1 forked or
-    # spawned children the rest
+    # spawned children the rest, each handed its next chunk as it returns
+    # one
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     kinds = [SchemeKind.ExpES, SchemeKind.SES]
     serial = estimate_many(CASE1, kinds, ["x", "x2"], 3, n, 5, workers=1)
@@ -390,3 +396,75 @@ def test_worker_pool_exit_by_exception_leaves_no_child():
             raise RuntimeError("body failed")
     assert multiprocessing.active_children() == []
 
+
+class ChildRefusal(ValueError):
+    pass
+
+
+def _dying(model, p, paths):
+    """_terminal in this process; a child that runs it exits at once."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(3)
+    return _terminal(model, p, paths)
+
+
+def _refusing(model, p, paths):
+    """_terminal in this process; a child that runs it raises."""
+    if multiprocessing.parent_process() is not None:
+        raise ChildRefusal("a child refuses its chunk")
+    return _terminal(model, p, paths)
+
+
+def test_a_dead_worker_raises_and_leaves_no_child():
+    # three chunks: this process runs 0 and 2, and the child dies on 1,
+    # which must raise, not wait for chunk 1
+    with pytest.raises(RuntimeError, match="exited with code 3"):
+        _estimate(CASE1, (SchemeKind.ExpES,), ["x"], 2, 9000, 1, 2, _dying)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_child_exception_keeps_its_type():
+    # a ValueError raised in a child is raised here as itself, so the
+    # report layer still turns it into a cell
+    with pytest.raises(ChildRefusal, match="refuses") as info:
+        _estimate(CASE1, (SchemeKind.ExpES,), ["x"], 2, 9000, 1, 2, _refusing)
+    assert isinstance(info.value, _CELL_ERRORS)
+    assert multiprocessing.active_children() == []
+
+
+def test_results_of_a_failed_ensemble_never_reach_the_next(monkeypatch):
+    # twenty chunks on two children: the first child result raises and
+    # leaves both children with results unread, which the next ensemble on
+    # the same pool must not take for its own
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    kinds = (SchemeKind.ExpES, SchemeKind.SES)
+    n = 20 * 4096
+    serial = _estimate(CASE1, kinds, ["x"], 2, n, 7, 1, _terminal)
+    with worker_pool(3):
+        with pytest.raises(ChildRefusal):
+            _estimate(CASE1, kinds, ["x"], 2, n, 7, 3, _refusing)
+        assert len(multiprocessing.active_children()) == 2
+        assert _estimate(CASE1, kinds, ["x"], 2, n, 7, 3, _terminal) == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_close_does_not_wait_on_a_child_stuck_sending():
+    # the child's 4 MB result fills the pipe, and nothing reads it
+    start = time.perf_counter()
+    with worker_pool(2) as pool:
+        results = pool.imap(bytes, [1 << 22, 1 << 22])
+        assert len(next(results)) == 1 << 22
+    assert multiprocessing.active_children() == []
+    assert time.perf_counter() - start < 60
+
+
+def test_spawned_children_match_one_worker(monkeypatch):
+    # the start method off Linux, run here for real: a spawned child
+    # imports the package afresh and must still give the same bits
+    monkeypatch.setattr(sys, "platform", "darwin")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    kinds = [SchemeKind.ExpES, SchemeKind.SES]
+    serial = estimate_many(CASE1, kinds, ["x", "x2"], 3, 12283, 5, workers=1)
+    assert estimate_many(CASE1, kinds, ["x", "x2"], 3, 12283, 5,
+                         workers=2) == serial
+    assert multiprocessing.active_children() == []
