@@ -37,17 +37,6 @@ __all__ = [
 DEFAULT_FIT_P_MIN = 2
 DEFAULT_FIT_P_MAX = 7  # beyond this the Monte Carlo error tends to dominate
 
-# the failures a table cell records; anything else is a bug and propagates
-_CELL_ERRORS = (UnreliableReferenceError, ValueError)
-
-
-def _outcome(call, *args, **kwargs):
-    """call(*args, **kwargs), or the _CELL_ERRORS exception it raised."""
-    try:
-        return call(*args, **kwargs)
-    except _CELL_ERRORS as exc:
-        return exc
-
 
 class InsufficientDataError(ValueError):
     """Fewer than two usable levels in the requested fit range."""
@@ -118,7 +107,7 @@ class CaseCell:
     scheme: SchemeKind
     test_fn: str
     reference: Optional[ReferenceValue]
-    table: object  # WeakErrorTable, or None if the cell failed
+    table: object  # WeakErrorTable, or None if the reference was unreliable
     fit: Optional[RateFit]
     error: Optional[str]
 
@@ -145,45 +134,24 @@ def _fit_range(p_list):
     return lo, hi
 
 
-def _sweep_cells(model, kinds, fs, refs, p_list, n, seed, workers):
-    """tables[j][i], the weak-error table of fs[j] under kinds[i], from one
-    weak_error_sweep over every cell.  A domain failure is retried one
-    scheme at a time, then one cell at a time, so that it lands on the
-    cells it belongs to alone: their entry is the exception instead."""
-    try:
-        return weak_error_sweep(model, kinds, fs, p_list, n, refs, seed,
-                                workers=workers)
-    except _CELL_ERRORS as exc:
-        if len(kinds) > 1:
-            per_kind = [_sweep_cells(model, [kind], fs, refs, p_list, n, seed, workers)
-                        for kind in kinds]
-            return [[t[j][0] for t in per_kind] for j in range(len(fs))]
-        if len(fs) > 1:
-            return [_sweep_cells(model, kinds, [f], [ref], p_list, n, seed, workers)[0]
-                    for f, ref in zip(fs, refs)]
-        return [[exc]]
-
-
 def build_case_table(cases, schemes, test_functions, p_list, n, seed,
                      n0=DEFAULT_N0, p_ref=DEFAULT_P_REF, workers: int = 1,
                      cache_dir=None, use_cache: bool = True) -> CaseTableReport:
     """One weak-error table plus rate fit per (case, scheme, test function).
 
-    cases is a mapping name -> model (or an iterable of such pairs).  The
-    fine-grid MC references of a case are resolved in one call, which
-    simulates one reference ensemble for every test function the cache does
-    not hold and gives each its value or its own error; a ValueError of the
-    call as a whole is retried one test function at a time.  Each reference
-    is shared across schemes, and so is the sweep: one
-    weak_error_sweep steps every scheme of a case on one pass of draws per
-    level and applies every test function to those paths.  Every ensemble
-    of the table runs on one worker_pool.  A domain failure (unreliable
-    reference, a ValueError from the model or the inputs, too few usable
-    rows) is recorded on the affected cells and never aborts the rest of
-    the table; any other exception propagates.
+    cases is a mapping name -> model (or an iterable of such pairs).  Each
+    case makes one fine_grid_reference call, one ensemble for every test
+    function the cache does not hold, and at most one weak_error_sweep,
+    which steps every scheme on one pass of draws per level for every test
+    function with a reliable reference.  The whole table shares one
+    worker_pool.  The fit range is [2, 7] clipped to p_list, or all of
+    p_list when the two do not overlap.
 
-    The fit range is [2, 7] clipped to p_list, or all of p_list when the
-    two do not overlap.
+    A cell records a statistical outcome only: an unreliable reference (no
+    table, error "reference failed: ...") or too few usable rows for a fit
+    (no fit, error the InsufficientDataError's message).  Any raised
+    exception, a drift's or a test function's ValueError included,
+    propagates.
     """
     if not p_list:
         raise ValueError("p_list must be nonempty")
@@ -192,32 +160,23 @@ def build_case_table(cases, schemes, test_functions, p_list, n, seed,
     test_functions = list(test_functions)
     lo, hi = _fit_range(p_list)
     cells = []
-    ref_options = dict(n0=n0, p_ref=p_ref, seed=seed, workers=workers,
-                       cache_dir=cache_dir, use_cache=use_cache)
     with worker_pool(workers):
         for name, model in case_items:
-            refs = _outcome(fine_grid_reference, model, test_functions, **ref_options)
-            if isinstance(refs, Exception):
-                # the failure may be one test function's: resolve each on
-                # its own so that it lands on that function's cells alone
-                refs = [_outcome(fine_grid_reference, model, f, **ref_options)
-                        for f in test_functions]
+            refs = fine_grid_reference(model, test_functions, n0=n0, p_ref=p_ref,
+                                       seed=seed, workers=workers,
+                                       cache_dir=cache_dir, use_cache=use_cache)
             good = [(f, ref) for f, ref in zip(test_functions, refs)
-                    if not isinstance(ref, Exception)]
-            swept = iter(_sweep_cells(model, kinds, [f for f, _ in good],
-                                      [ref for _, ref in good], list(p_list), n,
-                                      seed, workers) if good else ())
+                    if not isinstance(ref, UnreliableReferenceError)]
+            swept = iter(weak_error_sweep(model, kinds, [f for f, _ in good],
+                                          list(p_list), n, [ref for _, ref in good],
+                                          seed, workers=workers) if good else ())
             for f, ref in zip(test_functions, refs):
-                if isinstance(ref, Exception):
+                if isinstance(ref, UnreliableReferenceError):
                     cells += [CaseCell(name, kind, f, None, None, None,
                                        f"reference failed: {ref}") for kind in kinds]
                     continue
                 for kind, table in zip(kinds, next(swept)):
-                    if isinstance(table, Exception):
-                        cells.append(CaseCell(name, kind, f, ref, None, None, str(table)))
-                        continue
-                    fit = None
-                    note = None
+                    fit = note = None
                     try:
                         fit = fit_rate(table, lo, hi)
                     except InsufficientDataError as exc:

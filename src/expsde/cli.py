@@ -36,6 +36,7 @@ from .reference import (
     DEFAULT_N0,
     DEFAULT_P_REF,
     UnreliableReferenceError,
+    default_cache_dir,
     fine_grid_reference,
 )
 from .schemes import SchemeKind
@@ -210,6 +211,19 @@ def _validate_config(cfg: RunConfig) -> None:
         raise ConfigError(str(exc))
     if cfg.output and not Path(cfg.output).parent.is_dir():
         raise ConfigError(f"output directory {str(Path(cfg.output).parent)!r} does not exist")
+    cache = _cache_dir(cfg)
+    # the cache directory, or else its nearest parent that exists, must be one
+    found = cache and next((d for d in (cache, *cache.parents) if d.exists()), None)
+    if found and not found.is_dir():
+        raise ConfigError(f"cannot use cache directory {str(cache)!r}: "
+                          f"{str(found)!r} is not a directory")
+
+
+def _cache_dir(cfg: RunConfig) -> Optional[Path]:
+    """The run's reference cache directory, or None; an empty one is not given."""
+    if cfg.no_cache:
+        return None
+    return Path(cfg.cache_dir) if cfg.cache_dir else default_cache_dir()
 
 
 def resolve_model(cfg: RunConfig):
@@ -269,7 +283,7 @@ def _table_command(default_schemes, write):
                                   list(cfg.test_fn),
                                   list(range(cfg.p_min, cfg.p_max + 1)), cfg.n,
                                   cfg.seed, n0=cfg.n0, p_ref=cfg.p_ref,
-                                  workers=cfg.workers, cache_dir=cfg.cache_dir,
+                                  workers=cfg.workers, cache_dir=_cache_dir(cfg),
                                   use_cache=not cfg.no_cache)
         for cell in report.cells:
             if cell.error:
@@ -305,7 +319,7 @@ def cmd_reference(cfg: RunConfig) -> int:
     name, model = resolve_model(cfg)
     refs = fine_grid_reference(model, cfg.test_fn, n0=cfg.n0, p_ref=cfg.p_ref,
                                seed=cfg.seed, workers=cfg.workers,
-                               cache_dir=cfg.cache_dir,
+                               cache_dir=_cache_dir(cfg),
                                use_cache=not cfg.no_cache)
     for ref in refs:
         if isinstance(ref, UnreliableReferenceError):

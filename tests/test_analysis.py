@@ -196,9 +196,22 @@ def test_unreliable_reference_lands_on_its_function_alone(monkeypatch):
         assert report.cell("case1", "exp-es", f) == alone.cell("case1", "exp-es", f)
 
 
+def _drift_refusing_negative_states(x):
+    if np.any(x < 0.0):
+        raise ValueError("negative state")
+    return -3.0 * np.power(x, 1.5)
+
+
+def _x_refusing_negative_terminals(x):
+    if np.any(x < 0.0):
+        raise ValueError("negative terminal")
+    return x
+
+
 def test_programming_errors_propagate(monkeypatch):
-    # only domain failures become table cells; a model missing part of the
-    # protocol, or a drift that only takes scalars, is a bug and raises
+    # only statistical outcomes become table cells; a model missing part of
+    # the protocol, a drift that only takes scalars, or a drift or test
+    # function that refuses its input raises
     no_b_at_zero = SimpleNamespace(alpha=1.5, sigma=0.1, x0=1.0, horizon=1.0,
                                    drift=CASE1.drift)
     with pytest.raises(AttributeError, match="b_at_zero"):
@@ -207,6 +220,20 @@ def test_programming_errors_propagate(monkeypatch):
                                      b_at_zero=0.0, sigma=0.1, alpha=1.5)
     with pytest.raises(TypeError):
         small_report(cases={"scalar": scalar_drift})
+    # case 2's drift, refusing the negative states that tes reaches at
+    # coarse steps; the exp-es reference stays positive and is fine
+    refusing = GeneralDriftModel(drift=_drift_refusing_negative_states,
+                                 b_at_zero=0.0, sigma=1.0, alpha=1.25)
+    with pytest.raises(ValueError, match="negative state"):
+        small_report(cases={"refusing": refusing},
+                     schemes=[SchemeKind.ExpES, SchemeKind.TES])
+    # tes keeps the negative states it reaches on case2 at p = 2 as frozen
+    # terminals, which this test function refuses
+    with pytest.raises(ValueError, match="negative terminal"):
+        small_report(cases={"case2": CASE2},
+                     schemes=[SchemeKind.ExpES, SchemeKind.TES],
+                     test_functions=["x", _x_refusing_negative_terminals],
+                     p_list=[2, 3])
 
     def buggy_sweep(*args, **kwargs):
         raise TypeError("bug in the sweep")
@@ -216,51 +243,18 @@ def test_programming_errors_propagate(monkeypatch):
         small_report()
 
 
-def _drift_refusing_negative_states(x):
-    if np.any(x < 0.0):
-        raise ValueError("negative state")
-    return -3.0 * np.power(x, 1.5)
+def _refuse(x):
+    raise ValueError("refused")
 
 
-def test_one_schemes_failure_lands_on_its_cell_alone():
-    # case 2's drift, refusing the negative states that tes reaches at
-    # coarse steps; exp-es stays positive, so its cell keeps its table
-    model = GeneralDriftModel(drift=_drift_refusing_negative_states,
-                              b_at_zero=0.0, sigma=1.0, alpha=1.25)
-    report = small_report(cases={"refusing": model},
-                          schemes=[SchemeKind.ExpES, SchemeKind.TES])
-    bad = report.cell("refusing", "tes", "x")
-    assert bad.table is None
-    assert "negative state" in bad.error
-    good = report.cell("refusing", "exp-es", "x")
-    assert good.error is None
-    alone = small_report(cases={"refusing": model}, schemes=[SchemeKind.ExpES])
-    assert good == alone.cell("refusing", "exp-es", "x")
-
-
-def _x_refusing_negative_terminals(x):
-    if np.any(x < 0.0):
-        raise ValueError("negative terminal")
-    return x
-
-
-def test_one_cells_failure_lands_on_it_alone():
-    # tes keeps the negative states it reaches on case2 at p = 2 as frozen
-    # terminals, which this test function refuses: only the (tes, refusing)
-    # cell fails; the sweep of every cell at once falls back per scheme,
-    # then per cell
-    fs = ["x", _x_refusing_negative_terminals]
-    kinds = [SchemeKind.ExpES, SchemeKind.TES]
-    report = small_report(cases={"case2": CASE2}, schemes=kinds,
-                          test_functions=fs, p_list=[2, 3])
-    bad = report.cell("case2", "tes", _x_refusing_negative_terminals)
-    assert bad.table is None and bad.error == "negative terminal"
-    for f in fs:
-        for kind in kinds:
-            if (kind, f) != (SchemeKind.TES, _x_refusing_negative_terminals):
-                alone = small_report(cases={"case2": CASE2}, schemes=[kind],
-                                     test_functions=[f], p_list=[2, 3])
-                assert report.cell("case2", kind, f) == alone.cell("case2", kind, f)
+def test_a_refusing_test_function_raises_after_one_reference_ensemble(monkeypatch):
+    # the reference ensemble is simulated once for every f, and the
+    # ValueError of the one that refuses its terminals is not retried
+    fs = ["x", "x2", _refuse]
+    calls = _recording_reference_ensembles(monkeypatch)
+    with pytest.raises(ValueError, match="refused"):
+        small_report(test_functions=fs)
+    assert calls == [fs]
 
 
 def test_divergent_rows_leave_fit_note():
@@ -363,7 +357,7 @@ def test_csv_file_destination(tmp_path):
     assert out.read_text().startswith("case,scheme")
 
 
-def test_compare_simulates_one_reference_per_case(tmp_path, monkeypatch, capsys):
+def test_compare_simulates_one_reference_per_case(tmp_path, monkeypatch):
     from expsde import cli
 
     argv = ["compare", "--case", "case1", "--test-fn", "x", "--test-fn", "x2",
@@ -372,16 +366,3 @@ def test_compare_simulates_one_reference_per_case(tmp_path, monkeypatch, capsys)
     calls = _recording_reference_ensembles(monkeypatch)
     assert cli.main(argv + ["--output", str(tmp_path / "one.csv")]) == 0
     assert calls == [["x", "x2", "exp_neg_x2"]]
-
-    # the per-function fallback, forced: one reference ensemble per f and
-    # the same bytes
-    def one_f_only(model, f, **kw):
-        if not isinstance(f, str):
-            raise ValueError("one test function at a time")
-        return fine_grid_reference(model, f, **kw)
-
-    monkeypatch.setattr(analysis, "fine_grid_reference", one_f_only)
-    assert cli.main(argv + ["--output", str(tmp_path / "per_f.csv")]) == 0
-    assert calls[1:] == [["x"], ["x2"], ["exp_neg_x2"]]
-    capsys.readouterr()
-    assert (tmp_path / "one.csv").read_bytes() == (tmp_path / "per_f.csv").read_bytes()

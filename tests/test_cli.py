@@ -658,6 +658,49 @@ def test_reference_cached_rerun_identical(tmp_path, capsys):
     assert first == second
     assert "[fine-grid-mc]" in first
 
+def test_cache_dir_that_is_a_file_exits_2_before_simulating(tmp_path, capsys,
+                                                            monkeypatch):
+    def no_ensemble(*args, **kwargs):
+        raise AssertionError("simulated before the cache directory was checked")
+    monkeypatch.setattr(reference, "estimate_many", no_ensemble)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"cache_dir = {afile}\n")
+    argv = ["reference", "--case", "case1"] + FAST
+    monkeypatch.delenv("EXPSDE_CACHE_DIR", raising=False)
+    for given in (["--cache-dir", str(afile)], ["--config", str(cfg)]):
+        rc, out, err = run(argv + given, capsys)
+        assert (rc, out) == (2, "")
+        assert err == (f"error: cannot use cache directory {str(afile)!r}: "
+                       f"{str(afile)!r} is not a directory\n")
+    # nor can a directory be made below the file
+    rc, _, err = run(argv + ["--cache-dir", str(afile / "sub")], capsys)
+    assert rc == 2 and err.endswith(f": {str(afile)!r} is not a directory\n")
+    monkeypatch.setenv("EXPSDE_CACHE_DIR", str(afile))
+    rc, _, err = run(argv, capsys)
+    assert rc == 2 and "is not a directory" in err
+    # no cache is read or written under --no-cache, so the file is no error
+    monkeypatch.setattr(reference, "estimate_many", montecarlo.estimate_many)
+    rc, out, _ = run(argv + ["--no-cache"], capsys)
+    assert rc == 0 and "[fine-grid-mc]" in out
+
+def test_empty_cache_dir_key_is_not_given(tmp_path, capsys, monkeypatch):
+    # an empty key neither writes into the working directory nor hides
+    # $EXPSDE_CACHE_DIR
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("case = case1\ncache_dir =\n")
+    argv = ["reference", "--config", str(cfg)] + FAST
+    monkeypatch.delenv("EXPSDE_CACHE_DIR", raising=False)
+    assert run(argv, capsys)[0] == 0
+    monkeypatch.setenv("EXPSDE_CACHE_DIR", str(tmp_path / "env"))
+    assert run(argv, capsys)[0] == 0
+    assert list(work.iterdir()) == []
+    assert (tmp_path / "env" / reference.CACHE_FILENAME).is_file()
+
 def test_reference_runs_one_ensemble_for_every_test_fn(monkeypatch, capsys):
     # the terminals do not depend on f, so one ensemble serves every
     # --test-fn, and each line reads as that test function alone prints it

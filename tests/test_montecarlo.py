@@ -12,7 +12,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from expsde.analysis import _CELL_ERRORS
 from expsde.cli import CASES
 from expsde.models import (GeneralDriftModel, GrowthMetadata,
                            InsufficientMetadataError, PrototypeModel)
@@ -424,11 +423,10 @@ def test_a_dead_worker_raises_and_leaves_no_child():
 
 
 def test_a_child_exception_keeps_its_type():
-    # a ValueError raised in a child is raised here as itself, so the
-    # report layer still turns it into a cell
+    # an exception raised in a child is raised here as itself, not wrapped
     with pytest.raises(ChildRefusal, match="refuses") as info:
         _estimate(CASE1, (SchemeKind.ExpES,), ["x"], 2, 9000, 1, 2, _refusing)
-    assert isinstance(info.value, _CELL_ERRORS)
+    assert type(info.value) is ChildRefusal
     assert multiprocessing.active_children() == []
 
 
