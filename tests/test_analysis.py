@@ -210,8 +210,7 @@ def _x_refusing_negative_terminals(x):
 
 def test_programming_errors_propagate(monkeypatch):
     # only statistical outcomes become table cells; a model missing part of
-    # the protocol, a drift that only takes scalars, or a drift or test
-    # function that refuses its input raises
+    # the protocol or a drift that only takes scalars raises
     no_b_at_zero = SimpleNamespace(alpha=1.5, sigma=0.1, x0=1.0, horizon=1.0,
                                    drift=CASE1.drift)
     with pytest.raises(AttributeError, match="b_at_zero"):
@@ -220,20 +219,6 @@ def test_programming_errors_propagate(monkeypatch):
                                      b_at_zero=0.0, sigma=0.1, alpha=1.5)
     with pytest.raises(TypeError):
         small_report(cases={"scalar": scalar_drift})
-    # case 2's drift, refusing the negative states that tes reaches at
-    # coarse steps; the exp-es reference stays positive and is fine
-    refusing = GeneralDriftModel(drift=_drift_refusing_negative_states,
-                                 b_at_zero=0.0, sigma=1.0, alpha=1.25)
-    with pytest.raises(ValueError, match="negative state"):
-        small_report(cases={"refusing": refusing},
-                     schemes=[SchemeKind.ExpES, SchemeKind.TES])
-    # tes keeps the negative states it reaches on case2 at p = 2 as frozen
-    # terminals, which this test function refuses
-    with pytest.raises(ValueError, match="negative terminal"):
-        small_report(cases={"case2": CASE2},
-                     schemes=[SchemeKind.ExpES, SchemeKind.TES],
-                     test_functions=["x", _x_refusing_negative_terminals],
-                     p_list=[2, 3])
 
     def buggy_sweep(*args, **kwargs):
         raise TypeError("bug in the sweep")
@@ -241,6 +226,28 @@ def test_programming_errors_propagate(monkeypatch):
     monkeypatch.setattr(analysis, "weak_error_sweep", buggy_sweep)
     with pytest.raises(TypeError, match="bug in the sweep"):
         small_report()
+
+
+def test_a_refusing_drift_propagates_out_of_the_table():
+    # case 2's drift, refusing the negative states that tes reaches at
+    # coarse steps; the exp-es reference stays positive and is fine, but
+    # the ValueError of the tes sweep is raised, not kept as a cell
+    refusing = GeneralDriftModel(drift=_drift_refusing_negative_states,
+                                 b_at_zero=0.0, sigma=1.0, alpha=1.25)
+    with pytest.raises(ValueError, match="negative state"):
+        small_report(cases={"refusing": refusing},
+                     schemes=[SchemeKind.ExpES, SchemeKind.TES])
+
+
+def test_a_refusing_test_function_propagates_out_of_the_table():
+    # tes keeps the negative states it reaches on case2 at p = 2 as frozen
+    # terminals, which this test function refuses; the ValueError is
+    # raised, not kept as a cell
+    with pytest.raises(ValueError, match="negative terminal"):
+        small_report(cases={"case2": CASE2},
+                     schemes=[SchemeKind.ExpES, SchemeKind.TES],
+                     test_functions=["x", _x_refusing_negative_terminals],
+                     p_list=[2, 3])
 
 
 def _refuse(x):
