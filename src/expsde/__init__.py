@@ -34,7 +34,6 @@ from .montecarlo import (
     Estimate,
     WeakErrorTable,
     estimate_many,
-    exp_moment_estimate,
     moment_sweep,
     simulate_paths,
     weak_error_sweep,
@@ -76,7 +75,7 @@ __all__ = [
     "SchemeKind", "DIVERGENCE_CAP", "alive", "step", "step_values",
     "Estimate", "WeakErrorTable", "TEST_FUNCTIONS",
     "estimate_many", "simulate_paths", "weak_error_sweep",
-    "moment_sweep", "exp_moment_estimate",
+    "moment_sweep",
     "ReferenceMethod", "ReferenceValue", "DivergentIntegralError",
     "QuadratureNotConverged", "UnreliableReferenceError",
     "gamma_function", "adaptive_quadrature", "chi_square_moment",

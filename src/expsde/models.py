@@ -32,7 +32,6 @@ __all__ = [
     "check_hypotheses",
     "alpha_gate_ok",
     "max_moment_order",
-    "exp_moment_bound",
 ]
 
 
@@ -311,27 +310,17 @@ def _general_slack(model: GeneralDriftModel) -> float:
 
 
 def alpha_gate_ok(model) -> bool:
-    """False when b(0) > 0 and alpha <= 3/2: the order-one constraint and
-    the exponential-moment bound for a drift with b(0) > 0 need alpha > 3/2."""
+    """False when b(0) > 0 and alpha <= 3/2: the order-one constraint for a
+    drift with b(0) > 0 needs alpha > 3/2."""
     return not (model.b_at_zero > 0.0 and model.alpha <= 1.5)
 
 
 def max_moment_order(model) -> float:
     """The largest provably finite moment order 1 + 2*B2/sigma^2 (inf for
-    sigma = 0); B2 as in exp_moment_bound."""
+    sigma = 0).  B2 is the prototype's b2 or a general drift's growth.B2,
+    without which InsufficientMetadataError is raised."""
     s2 = model.sigma * model.sigma
     return 1.0 + 2.0 * _b2(model) / s2 if s2 > 0.0 else math.inf
-
-
-def exp_moment_bound(model) -> float:
-    """Largest mu with a provably finite exponential moment of the path
-    integral of X^(2 alpha - 2).  B2 is the prototype's b2 or a general
-    drift's growth.B2, without which InsufficientMetadataError is raised."""
-    b2 = _b2(model)
-    s2 = model.sigma * model.sigma
-    if model.b_at_zero == 0.0:
-        return (s2 + 2.0 * b2) ** 2 / (8.0 * s2)
-    return b2 * s2
 
 
 def check_hypotheses(model) -> HypothesisReport:

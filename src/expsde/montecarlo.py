@@ -5,12 +5,14 @@ Trajectories are processed in fixed chunks of CHUNK_TRAJECTORIES.  Each
 trajectory draws its normals from its own lane of a keyed lane-group
 stream, a row of the one stream a chunk draws through (paths.make_stream),
 stepping is vectorized across the chunk, every scheme of an ensemble steps
-in lockstep on the chunk's one pass of draws, and chunk results are
-reduced in chunk-index order: sums through a pairwise tree with
-compensated addition, and each chunk's (count, mean, M2) moments, for the
-standard error, by Chan, Golub and LeVeque's merge.  Neither the worker
-count nor the scheduling order can change any output bit (workers only
-compute whole chunks, which are pure functions of the chunk index).
+in lockstep on the chunk's one pass of draws, and a chunk returns its
+paths' terminal states under each scheme.  The test functions' values at
+those states are reduced in chunk-index order: sums through a pairwise
+tree with compensated addition, and each chunk's (count, mean, M2)
+moments, for the standard error, by Chan, Golub and LeVeque's merge.
+Neither the worker count nor the scheduling order can change any output
+bit (workers only compute whole chunks, which are pure functions of the
+chunk index).
 
 N workers are this process and the N - 1 children of one pool per
 worker_pool entry: a command opens it once around all of its ensembles,
@@ -40,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import alpha_gate_ok, exp_moment_bound, max_moment_order
+from .models import max_moment_order
 from .paths import make_stream
 from .schemes import DIVERGENCE_CAP, SchemeKind, alive, step_values
 
@@ -53,7 +55,6 @@ __all__ = [
     "estimate_many",
     "weak_error_sweep",
     "moment_sweep",
-    "exp_moment_estimate",
     "simulate_paths",
     "worker_pool",
 ]
@@ -209,43 +210,16 @@ def _lockstep_paths(model, kinds, p, streams):
             yield tuple(zip(xs, divs))
 
 
-def _chunk_payload(model, kinds, p, seed, start, count, observe):
-    """Simulate trajectories [start, start+count) at level p under every
-    scheme in kinds, from one stream, and return observe(model, p, paths).
-
-    observe is a path observable: a module-level function, so that a worker
-    can receive it, reducing the lockstep pairs of _lockstep_paths to one
-    (one value per path, final diverged mask) pair per scheme.  Pure
-    function of its arguments."""
-    paths = _lockstep_paths(model, kinds, p, make_stream(seed, start, p, count))
-    return observe(model, p, paths)
-
-
-def _terminal(model, p, paths):
-    """The last state of each path."""
-    for states in paths:
+def _chunk_payload(args):
+    """One chunk's task, args = (model, kinds, p, seed, start, count):
+    simulate trajectories [start, start+count) at level p under every
+    scheme in kinds, from one stream, and return the last lockstep pair of
+    _lockstep_paths, one (terminal states, diverged) pair per scheme.  Pure
+    function of args."""
+    model, kinds, p, seed, start, count = args
+    for states in _lockstep_paths(model, kinds, p, make_stream(seed, start, p, count)):
         pass
     return states
-
-
-def _riemann_integral(model, p, paths):
-    """The left-endpoint Riemann sum of X^(2 alpha - 2) along each path; a
-    frozen path adds nothing more."""
-    dt = model.horizon / (1 << p)
-    power = 2.0 * model.alpha - 2.0
-    prev = next(paths)
-    integrals = [np.zeros(len(px), dtype=np.float64) for px, _ in prev]
-    for states in paths:
-        for i, (px, pdiv) in enumerate(prev):
-            with np.errstate(over="ignore", invalid="ignore"):
-                contrib = np.power(px, power) * dt
-            integrals[i] = np.where(pdiv, integrals[i], integrals[i] + contrib)
-        prev = states
-    return [(integral, pdiv) for integral, (_, pdiv) in zip(integrals, prev)]
-
-
-def _worker(args):
-    return _chunk_payload(*args)
 
 
 def _serve(conn):
@@ -461,18 +435,10 @@ def _scheme_kinds(kind):
     return kinds
 
 
-def _one_kind(kind):
-    """Reject anything but one SchemeKind, for the APIs that return one
-    result per test function or order."""
-    if not isinstance(kind, SchemeKind):
-        raise TypeError(f"expected one SchemeKind, got {kind!r}; "
-                        "estimate_many takes a sequence of them")
-
-
-def _estimate(model, kinds, fs, p, n, seed, workers, observe):
+def _estimate(model, kinds, fs, p, n, seed, workers):
     """One Estimate per (scheme, test function), kind-major, each applied in
-    this process to observe's per-path values of one n-path ensemble that
-    every scheme in kinds steps on the same draws.  A path counts as
+    this process to the terminal states of one n-path ensemble that every
+    scheme in kinds steps on the same draws.  A path counts as
     diverged for f when it diverged or f of its value is not finite.
 
     Chunks run on the enclosing worker_pool's workers, or on ones opened
@@ -486,11 +452,11 @@ def _estimate(model, kinds, fs, p, n, seed, workers, observe):
         raise ValueError("need at least one test function")
     # chunk sums, chunk (count, mean, M2) moments, n_div per (scheme, test function)
     acc = [[([], [], 0) for _ in funcs] for _ in kinds]
-    arglist = [(model, kinds, p, seed, s, min(CHUNK_TRAJECTORIES, n - s), observe)
+    arglist = [(model, kinds, p, seed, s, min(CHUNK_TRAJECTORIES, n - s))
                for s in range(0, n, CHUNK_TRAJECTORIES)]
     with worker_pool(workers) as pool:
-        for observed in pool.imap(_worker, arglist):
-            for per_f, (values, div) in zip(acc, observed):
+        for terminals in pool.imap(_chunk_payload, arglist):
+            for per_f, (values, div) in zip(acc, terminals):
                 for idx, func in enumerate(funcs):
                     sums, moments, n_div = per_f[idx]
                     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -520,8 +486,7 @@ def estimate_many(model, kind, fs, p, n, seed, workers: int = 1):
     Raises ValueError, before simulating anything, when fs or the kind
     sequence is empty.
     """
-    return _estimate(model, _scheme_kinds(kind), fs, p, n, seed, workers,
-                     _terminal)
+    return _estimate(model, _scheme_kinds(kind), fs, p, n, seed, workers)
 
 
 def weak_error_sweep(model, kind, f, p_list, n, reference, seed,
@@ -579,7 +544,9 @@ def moment_sweep(model, kind, orders, p, n, seed, workers: int = 1):
     growth.B2, which sets that order; without it InsufficientMetadataError
     is raised.  Raises TypeError, before simulating, unless kind is one
     SchemeKind."""
-    _one_kind(kind)
+    if not isinstance(kind, SchemeKind):
+        raise TypeError(f"expected one SchemeKind, got {kind!r}; "
+                        "estimate_many takes a sequence of them")
     bound = max_moment_order(model)
     for order in orders:
         if order > bound:
@@ -591,28 +558,3 @@ def moment_sweep(model, kind, orders, p, n, seed, workers: int = 1):
     funcs = [(lambda o: (lambda x: np.power(x, float(o))))(o) for o in orders]
     ests = estimate_many(model, kind, funcs, p, n, seed, workers=workers)
     return dict(zip(orders, ests))
-
-
-def exp_moment_estimate(model, kind, mu, p, n, seed, workers: int = 1) -> Estimate:
-    """Empirical E[exp(mu * I_T)] with I_T the left-endpoint Riemann sum of
-    X^(2 alpha - 2) on the simulation grid.  Overflowing trajectories count
-    as diverged.  A GeneralDriftModel needs its declared growth.B2, which
-    sets the bound checked against mu; without it InsufficientMetadataError
-    is raised.  Raises TypeError, before simulating, unless kind is one
-    SchemeKind."""
-    _one_kind(kind)
-    bound = exp_moment_bound(model)
-    if mu > bound:
-        warnings.warn(
-            f"mu={mu} exceeds the exponential-moment bound {bound:.6g} "
-            "for this model; the estimate may be infinite in the limit",
-            stacklevel=2,
-        )
-    if not alpha_gate_ok(model):
-        warnings.warn(
-            "exponential-moment bound is only established for alpha > 3/2 "
-            "when b(0) > 0",
-            stacklevel=2,
-        )
-    return _estimate(model, (kind,), [lambda integral: np.exp(mu * integral)],
-                     p, n, seed, workers, _riemann_integral)[0]

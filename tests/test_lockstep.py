@@ -178,6 +178,9 @@ def test_empty_inputs_raise_before_simulating(monkeypatch):
         estimate_many(model, [], ["x"], 8, 9000, 0)
     with pytest.raises(ValueError, match="scheme"):
         weak_error_sweep(model, (), "x", [2], 9000, SimpleNamespace(value=0.0), 0)
+    for n in (0, -5):
+        with pytest.raises(ValueError, match="at least one trajectory"):
+            estimate_many(model, SchemeKind.ExpES, ["x"], 8, n, 0)
 
 
 def test_one_kind_apis_reject_scheme_sequences(monkeypatch):
@@ -190,8 +193,4 @@ def test_one_kind_apis_reject_scheme_sequences(monkeypatch):
     with pytest.raises(TypeError, match="SchemeKind"):
         montecarlo.moment_sweep(model, both, [1, 2], 3, 300, 0)
     with pytest.raises(TypeError, match="SchemeKind"):
-        montecarlo.exp_moment_estimate(model, (SchemeKind.ExpES,), 0.01, 3, 300, 0)
-    with pytest.raises(TypeError, match="SchemeKind"):
         montecarlo.moment_sweep(model, "exp-es", [1, 2], 3, 300, 0)
-    with pytest.raises(TypeError, match="SchemeKind"):
-        montecarlo.exp_moment_estimate(model, "exp-es", 0.01, 3, 300, 0)

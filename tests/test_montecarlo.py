@@ -17,10 +17,7 @@ from expsde.models import (GeneralDriftModel, GrowthMetadata,
                            InsufficientMetadataError, PrototypeModel)
 from expsde.montecarlo import (
     TEST_FUNCTIONS,
-    _estimate,
-    _terminal,
     estimate_many,
-    exp_moment_estimate,
     moment_sweep,
     resolve_test_function,
     simulate_paths,
@@ -151,40 +148,6 @@ def test_moment_sweep_warns_beyond_bound():
         moment_sweep(case3, SchemeKind.ExpES, [4], p=3, n=200, seed=2)
 
 
-def test_exp_moment_mu_zero_exact():
-    est = exp_moment_estimate(CASE1, SchemeKind.ExpES, 0.0, p=3, n=200, seed=3)
-    assert est.mean == 1.0
-    assert est.stderr == 0.0
-
-
-def test_exp_moment_negative_mu_below_one():
-    est = exp_moment_estimate(CASE1, SchemeKind.ExpES, -0.5, p=4, n=500, seed=7)
-    assert est.mean <= 1.0
-    assert est.mean > 0.0
-
-
-def test_exp_moment_warns_above_bound():
-    # case 1 bound: (0.01 + 4)^2 / 0.08 ~ 201
-    with pytest.warns(UserWarning, match="exponential-moment bound"):
-        exp_moment_estimate(CASE1, SchemeKind.ExpES, 250.0, p=3, n=100, seed=1)
-
-
-def test_exp_moment_seed_consistency():
-    # independent replications at the same level agree statistically; the
-    # level itself is held fixed because the Riemann-sum bias (~dt) is far
-    # larger than the tiny stderr of this tame integrand
-    a = exp_moment_estimate(CASE1, SchemeKind.ExpES, 0.01, p=6, n=4000, seed=15)
-    b = exp_moment_estimate(CASE1, SchemeKind.ExpES, 0.01, p=6, n=4000, seed=16)
-    assert math.isfinite(a.mean) and math.isfinite(b.mean)
-    assert abs(a.mean - b.mean) <= 5.0 * math.hypot(a.stderr, b.stderr)
-
-
-@pytest.mark.parametrize("n", [0, -5])
-def test_exp_moment_rejects_an_empty_ensemble(n):
-    with pytest.raises(ValueError, match="at least one trajectory"):
-        exp_moment_estimate(CASE1, SchemeKind.ExpES, 0.01, 3, n=n, seed=1)
-
-
 def test_resolve_test_function():
     assert resolve_test_function("x2") is TEST_FUNCTIONS["x2"]
     f = lambda x: x + 1
@@ -209,6 +172,14 @@ CASE1_GENERAL = GeneralDriftModel(drift=_case1_drift, b_at_zero=0.0,
                                   sigma=0.1, alpha=1.5)
 
 
+def _case4_drift(x):
+    return 1.0 + 1.0 * x - 0.4 * np.power(x, 5.0)
+
+
+CASE4_GENERAL = GeneralDriftModel(drift=_case4_drift, b_at_zero=1.0,
+                                  sigma=0.1, alpha=3.0)
+
+
 def assert_agree(got, want, steps):
     """Estimates or references of two models whose paths step alike to
     STEP_AGREEMENT per step, over paths of `steps` steps: every float
@@ -224,14 +195,15 @@ def assert_agree(got, want, steps):
 
 
 def test_general_drift_model_runs_like_prototype():
-    # case1's polynomial written as a general drift: the engine reads only
-    # the model protocol, and steps it through drift(x) where the prototype
-    # takes its closed form, so the two agree to a few ulps per step and
-    # count the same paths
-    for kind in (SchemeKind.ExpES, SchemeKind.SES):
-        general = estimate_many(CASE1_GENERAL, kind, ["x", "x2"], p=4, n=5000, seed=3)
-        proto = estimate_many(CASES["case1"], kind, ["x", "x2"], p=4, n=5000, seed=3)
-        assert_agree(general, proto, 1 << 4)
+    # case1's and case4's polynomials (b(0) = 0 and b(0) > 0) written as
+    # general drifts: the engine reads only the model protocol, and steps
+    # it through drift(x) where the prototype takes its closed form, so the
+    # two agree to a few ulps per step and count the same paths
+    for general_model, case in ((CASE1_GENERAL, "case1"), (CASE4_GENERAL, "case4")):
+        for kind in (SchemeKind.ExpES, SchemeKind.SES):
+            general = estimate_many(general_model, kind, ["x", "x2"], p=4, n=5000, seed=3)
+            proto = estimate_many(CASES[case], kind, ["x", "x2"], p=4, n=5000, seed=3)
+            assert_agree(general, proto, 1 << 4)
     ref = fine_grid_reference(CASE1_GENERAL, "x", n0=300, p_ref=6, seed=2,
                               use_cache=False)
     assert_agree([ref], [fine_grid_reference(CASES["case1"], "x", n0=300, p_ref=6,
@@ -255,42 +227,6 @@ def test_moment_sweep_needs_only_growth_b2():
     with pytest.raises(InsufficientMetadataError) as exc:
         moment_sweep(CASE1_GENERAL, SchemeKind.ExpES, [1], 3, 200, 1)
     assert exc.value.missing == ["growth.B2"]
-
-
-def _case4_drift(x):
-    return 1.0 + 1.0 * x - 0.4 * np.power(x, 5.0)
-
-
-def _recorded(call):
-    with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
-        result = call()
-    return result, [str(w.message) for w in seen]
-
-
-def test_exp_moment_general_drift_like_prototype():
-    # the bound and its warnings read b_at_zero and the declared growth.B2;
-    # case1 (b(0) = 0) and case4 (b(0) > 0) take the two branches, and each
-    # mu list holds one value below and one above the bound
-    pairs = [
-        (CASES["case1"], GeneralDriftModel(
-            drift=_case1_drift, b_at_zero=0.0, sigma=0.1, alpha=1.5,
-            growth=GrowthMetadata(B1=0.0, B2=2.0, B1p=0.0, B2p=4.0)), (0.01, 250.0)),
-        (CASES["case4"], GeneralDriftModel(
-            drift=_case4_drift, b_at_zero=1.0, sigma=0.1, alpha=3.0,
-            growth=GrowthMetadata(B1=1.0, B2=0.4, B1p=1.0, B2p=2.0)), (0.001, 0.01)),
-    ]
-    for proto, general, mus in pairs:
-        for mu in mus:
-            want, want_warnings = _recorded(lambda: exp_moment_estimate(
-                proto, SchemeKind.ExpES, mu, p=4, n=300, seed=5))
-            got, got_warnings = _recorded(lambda: exp_moment_estimate(
-                general, SchemeKind.ExpES, mu, p=4, n=300, seed=5))
-            assert_agree([got], [want], 1 << 4)
-            assert got_warnings == want_warnings
-        assert any("exponential-moment bound" in m for m in got_warnings)
-    with pytest.raises(InsufficientMetadataError):
-        exp_moment_estimate(CASE1_GENERAL, SchemeKind.ExpES, 0.01, p=2, n=10, seed=1)
 
 
 def test_simulate_paths_yields_every_grid_time():
@@ -322,12 +258,7 @@ def test_overflowed_sum_of_squares_gives_infinite_stderr():
                             3, 2000, 1)[0]
         assert math.isfinite(est.mean)
         assert est.stderr == math.inf
-        est = exp_moment_estimate(CASE2, SchemeKind.ExpES, 400.0, 3, 2000, 1)
-        assert math.isfinite(est.mean)
-        assert est.stderr == math.inf
-    # only the exponential-moment bound warning for mu = 400
-    assert [w.category for w in caught] == [UserWarning]
-    assert "exponential-moment bound" in str(caught[0].message)
+    assert caught == []
 
 
 def test_long_path_draws_stay_below_half_a_segment_block():
@@ -400,32 +331,37 @@ class ChildRefusal(ValueError):
     pass
 
 
-def _dying(model, p, paths):
-    """_terminal in this process; a child that runs it exits at once."""
+def _dying_drift(x):
+    """case1's drift in this process; a child that evaluates it exits at once."""
     if multiprocessing.parent_process() is not None:
         os._exit(3)
-    return _terminal(model, p, paths)
+    return _case1_drift(x)
 
 
-def _refusing(model, p, paths):
-    """_terminal in this process; a child that runs it raises."""
+def _refusing_drift(x):
+    """case1's drift in this process; a child that evaluates it raises."""
     if multiprocessing.parent_process() is not None:
         raise ChildRefusal("a child refuses its chunk")
-    return _terminal(model, p, paths)
+    return _case1_drift(x)
+
+
+DYING = GeneralDriftModel(drift=_dying_drift, b_at_zero=0.0, sigma=0.1, alpha=1.5)
+REFUSING = GeneralDriftModel(drift=_refusing_drift, b_at_zero=0.0, sigma=0.1,
+                             alpha=1.5)
 
 
 def test_a_dead_worker_raises_and_leaves_no_child():
     # three chunks: this process runs 0 and 2, and the child dies on 1,
     # which must raise, not wait for chunk 1
     with pytest.raises(RuntimeError, match="exited with code 3"):
-        _estimate(CASE1, (SchemeKind.ExpES,), ["x"], 2, 9000, 1, 2, _dying)
+        estimate_many(DYING, SchemeKind.ExpES, ["x"], 2, 9000, 1, workers=2)
     assert multiprocessing.active_children() == []
 
 
 def test_a_child_exception_keeps_its_type():
     # an exception raised in a child is raised here as itself, not wrapped
     with pytest.raises(ChildRefusal, match="refuses") as info:
-        _estimate(CASE1, (SchemeKind.ExpES,), ["x"], 2, 9000, 1, 2, _refusing)
+        estimate_many(REFUSING, SchemeKind.ExpES, ["x"], 2, 9000, 1, workers=2)
     assert type(info.value) is ChildRefusal
     assert multiprocessing.active_children() == []
 
@@ -437,12 +373,12 @@ def test_results_of_a_failed_ensemble_never_reach_the_next(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     kinds = (SchemeKind.ExpES, SchemeKind.SES)
     n = 20 * 4096
-    serial = _estimate(CASE1, kinds, ["x"], 2, n, 7, 1, _terminal)
+    serial = estimate_many(CASE1, kinds, ["x"], 2, n, 7, workers=1)
     with worker_pool(3):
         with pytest.raises(ChildRefusal):
-            _estimate(CASE1, kinds, ["x"], 2, n, 7, 3, _refusing)
+            estimate_many(REFUSING, kinds, ["x"], 2, n, 7, workers=3)
         assert len(multiprocessing.active_children()) == 2
-        assert _estimate(CASE1, kinds, ["x"], 2, n, 7, 3, _terminal) == serial
+        assert estimate_many(CASE1, kinds, ["x"], 2, n, 7, workers=3) == serial
     assert multiprocessing.active_children() == []
 
 
