@@ -18,11 +18,12 @@ N workers are this process and the N - 1 children of one pool per
 worker_pool entry: a command opens it once around all of its ensembles,
 and the pool is only started at the first ensemble with more than one
 chunk, so a command that never needs it starts no process.  This process
-runs every chunk whose index is a multiple of N, the children the others,
-each child fed its chunks over its own pipe.  On Linux the children are
-forked, so they start with numpy and this package already imported;
-elsewhere they are spawned and import them afresh.  A child that dies is
-an error, never a wait.
+runs every chunk whose index is a multiple of N, the children the others:
+each child gets its whole share of an ensemble in one message over its
+own pipe, and an ensemble that stops early makes the next one start fresh
+children.  On Linux the children are forked, so they start with numpy and
+this package already imported; elsewhere they are spawned and import them
+afresh.  A child that dies is an error, never a wait.
 
 Diverged trajectories (non-finite state, |state| above the cap, or a
 non-finite test-function value at the terminal, for example 1/x at an
@@ -223,40 +224,34 @@ def _chunk_payload(args):
 
 
 def _serve(conn):
-    """A child's loop: answer each (func, args) that conn brings with
-    (True, func(args)), or with (False, exc) when func raises exc, until
-    the parent closes its end or terminates this process."""
+    """A child's loop: for each (func, tasks) share that conn brings, send
+    (True, func(args)) for each args of tasks in order, or (False, exc) for
+    the first that raises exc, which ends the share; until the parent
+    closes its end or terminates this process."""
     while True:
         try:
-            func, args = conn.recv()
+            func, tasks = conn.recv()
         except EOFError:
             return
-        try:
-            reply = True, func(args)
-        except Exception as exc:
-            reply = False, exc
-        conn.send(reply)
-
-
-class _Child:
-    """A pool child: its process, this process's end of its pipe, and the
-    number of tasks sent to it whose result has not been received."""
-
-    __slots__ = ("process", "conn", "unread")
-
-    def __init__(self, process, conn):
-        self.process, self.conn, self.unread = process, conn, 0
+        for args in tasks:
+            try:
+                reply = True, func(args)
+            except Exception as exc:
+                conn.send((False, exc))
+                break
+            conn.send(reply)
 
 
 class _LazyPool:
     """`workers` workers, at most one per CPU: this process and workers - 1
     child processes, started at the first map with more than one worker
-    and more than one task.  Each child serves tasks over its own pipe
-    (_serve), at most two of them outstanding: the one it computes and the
-    one it starts once it has sent that result, so it never waits for this
-    process to hand it work, and an ensemble that fails leaves at most two
-    results per child, which the next ensemble reads and drops.  A child
-    that dies, or whose pipe breaks, closes the pool and raises
+    and more than one task.  A map hands each child its whole share of the
+    tasks in one message over its own pipe, and the child (_serve) sends
+    back one result per task, in order.  A map that stops before its end,
+    by an exception here or in a child or by a reader that stops reading,
+    may leave results in the pipes; the next map then closes the pool and
+    starts fresh children, so no map ever reads an earlier map's result.  A
+    child that dies, or whose pipe breaks, closes the pool and raises
     RuntimeError; an exception its task raises is raised here as it is.
 
     The children are forked on Linux and spawned elsewhere: macOS's
@@ -271,16 +266,19 @@ class _LazyPool:
 
     def __init__(self, workers):
         self.workers = min(workers, os.cpu_count() or 1)
-        self._children = []
+        self._children = []  # (process, this process's end of its pipe)
+        self._unfinished = False  # a map stopped before its end
 
     def imap(self, func, arglist):
         """func over arglist, yielded in task order.  Task i runs in this
         process when i % workers == 0 and in child i % workers - 1
-        otherwise; each child has its first two tasks before this process
-        starts its own."""
+        otherwise; each child has its share before this process starts its
+        own."""
         w = self.workers
         if w <= 1 or len(arglist) <= 1:
             return map(func, arglist)
+        if self._unfinished:
+            self.close()
         if not self._children:
             ctx = multiprocessing.get_context("fork" if sys.platform == "linux" else "spawn")
             for _ in range(w - 1):
@@ -288,66 +286,49 @@ class _LazyPool:
                 process = ctx.Process(target=_serve, args=(child_end,), daemon=True)
                 process.start()
                 child_end.close()
-                self._children.append(_Child(process, conn))
+                self._children.append((process, conn))
         return self._imap(func, arglist)
 
     def _imap(self, func, arglist):
         w = self.workers
-        for child in self._children:
-            # the unread results of an ensemble that failed
-            while child.unread:
-                self._receive(child)
-        todo = [arglist[j::w] for j in range(1, w)]
-        for child, tasks in zip(self._children, todo):
-            for args in tasks[:2]:
-                self._send(child, func, args)
+        self._unfinished = True
+        for j, (process, conn) in enumerate(self._children, 1):
+            try:
+                conn.send((func, arglist[j::w]))
+            except ConnectionError:
+                raise self._lost(process) from None
         for i, args in enumerate(arglist):
             if not i % w:
                 yield func(args)
                 continue
-            # task i is task i // w of its child, which gets its next task
-            # once this one's result is in
-            child, tasks = self._children[i % w - 1], todo[i % w - 1]
-            ok, value = self._receive(child)
+            process, conn = self._children[i % w - 1]
+            try:
+                ok, value = conn.recv()
+            except (EOFError, ConnectionError):
+                raise self._lost(process) from None
             if not ok:
                 raise value
-            if i // w + 2 < len(tasks):
-                self._send(child, func, tasks[i // w + 2])
             yield value
+        self._unfinished = False
 
-    def _send(self, child, func, args):
-        try:
-            child.conn.send((func, args))
-        except ConnectionError:
-            raise self._lost(child) from None
-        child.unread += 1
-
-    def _receive(self, child):
-        try:
-            reply = child.conn.recv()
-        except (EOFError, ConnectionError):
-            raise self._lost(child) from None
-        child.unread -= 1
-        return reply
-
-    def _lost(self, child):
-        """Close the pool, and the error that child's death makes."""
+    def _lost(self, process):
+        """Close the pool, and the error that the death of process makes."""
         self.close()
         return RuntimeError(
-            f"worker process {child.process.pid} exited with code "
-            f"{child.process.exitcode} before returning its chunk (a spawned "
+            f"worker process {process.pid} exited with code "
+            f"{process.exitcode} before returning its chunk (a spawned "
             "worker exits at start-up when the calling script does not keep "
             'its entry code under `if __name__ == "__main__":`)')
 
     def close(self):
         """Terminate every child and join it: SIGTERM, so that no child
         stuck sending a result can block the close."""
-        for child in self._children:
-            child.process.terminate()
-        for child in self._children:
-            child.process.join()
-            child.conn.close()
-        self._children = []
+        for process, _ in self._children:
+            process.terminate()
+        for process, conn in self._children:
+            process.join()
+            conn.close()
+        self._children, self._unfinished = [], False
 
 
 _open_pool = None

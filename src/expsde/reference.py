@@ -310,21 +310,20 @@ def _cache_key(model: PrototypeModel, f_id: str, n0: int, p_ref: int, seed: int)
 
 def _cache_lookup(path: Path, key: str):
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError:
         return None
     hit = None
     # the last piece has no newline unless the file is complete: a record
     # cut short by an interrupted write is never served
-    for line in text.split("\n")[:-1]:
-        parts = line.split()
-        if len(parts) != 3 or parts[0] != key:
-            continue
+    for line in data.split(b"\n")[:-1]:
         try:
-            value, uncertainty = float(parts[1]), float(parts[2])
+            # a line that is not UTF-8 raises UnicodeDecodeError, a ValueError
+            name, value, uncertainty = line.decode().split()
+            value, uncertainty = float(value), float(uncertainty)
         except ValueError:
             continue
-        if uncertainty >= 0.0:
+        if name == key and uncertainty >= 0.0:
             hit = (value, uncertainty)
     return hit
 

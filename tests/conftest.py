@@ -1,9 +1,10 @@
 """Session fixtures for the acceptance suite.
 
 The expensive piece is the fine-grid reference ensemble (10^6 trajectories
-at refinement level 12, about six minutes on one core).  Simulated
-terminals do not depend on the test function, so a single estimate_many
-pass yields the reference expectation for all three functions at once;
+at refinement level 12: 103 s at one worker and 57 s at two on a 2-core
+machine), which runs on every CPU.  Simulated terminals do not depend on
+the test function, so a single estimate_many pass yields the reference
+expectation for all three functions at once;
 each per-function value is identical to what fine_grid_reference would
 return for the same seed (test_acceptance asserts this at small size).
 Only the acceptance module requests these fixtures, so unit-test runs
@@ -14,6 +15,8 @@ kernels and the power forms they replaced; ZeroStream, a stream fake whose
 draws are all zero; and path_terminal, the terminal of one path stepped by
 simulate_paths.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -62,8 +65,9 @@ def path_terminal(model, kind, p, stream):
 @pytest.fixture(scope="session")
 def case1_references():
     model = CASES["case1"]
+    # every worker count gives the same bits (criterion 7)
     ests = estimate_many(model, SchemeKind.ExpES, ACCEPTANCE_FS, REFERENCE_P,
-                         REFERENCE_N0, MASTER_SEED, workers=1)
+                         REFERENCE_N0, MASTER_SEED, workers=os.cpu_count() or 1)
     out = {}
     for f, est in zip(ACCEPTANCE_FS, ests):
         assert est.n_diverged == 0
@@ -77,9 +81,10 @@ def case1_references():
 
 @pytest.fixture(scope="session")
 def case1_sweeps(case1_references):
-    model = CASES["case1"]
-    return {
-        f: weak_error_sweep(model, SchemeKind.ExpES, f, SWEEP_P, SWEEP_N,
-                            case1_references[f], MASTER_SEED, workers=1)
-        for f in ACCEPTANCE_FS
-    }
+    # one sweep for the three functions gives each the table of a sweep of
+    # that function alone
+    tables = weak_error_sweep(CASES["case1"], SchemeKind.ExpES, ACCEPTANCE_FS,
+                              SWEEP_P, SWEEP_N,
+                              [case1_references[f] for f in ACCEPTANCE_FS],
+                              MASTER_SEED, workers=1)
+    return dict(zip(ACCEPTANCE_FS, tables))

@@ -453,21 +453,19 @@ def count_pools(monkeypatch, inline=False, sent=None):
     """Replace the multiprocessing module montecarlo sees with one whose
     contexts record, per pool, the start method and the number of children
     started.  An inline context starts no process: each child's pipe runs
-    a task in this process as it is sent, appends (child index, task) to
-    sent, and checks that the child never has more than two results
-    unread."""
+    the share of tasks of each message in this process as it is sent, and
+    appends (child index, share) to sent."""
     built = []
 
     class InlineEnd:
         def __init__(self, child):
             self.child, self.replies = child, []
 
-        def send(self, task):
-            func, args = task
+        def send(self, message):
+            func, tasks = message
             if sent is not None:
-                sent.append((self.child, args))
-            self.replies.append((True, func(args)))
-            assert len(self.replies) <= 2
+                sent.append((self.child, tasks))
+            self.replies += [(True, func(args)) for args in tasks]
 
         def recv(self):
             return self.replies.pop(0)
@@ -623,8 +621,8 @@ def test_pool_is_capped_at_the_cpu_count(cpus, pools, tmp_path, monkeypatch,
 def test_pool_gets_the_chunks_this_process_does_not_run(workers, n,
                                                         monkeypatch):
     # this process runs chunk i when i % workers == 0 and child
-    # i % workers - 1 every other chunk, at most two at a time, and one
-    # chunk needs no pool at all
+    # i % workers - 1 every other chunk, each child's whole share in one
+    # message, and one chunk needs no pool at all
     sent = []
     count_pools(monkeypatch, inline=True, sent=sent)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
@@ -632,8 +630,12 @@ def test_pool_gets_the_chunks_this_process_does_not_run(workers, n,
                              3, workers=workers)
     starts = range(0, n, montecarlo.CHUNK_TRAJECTORIES)
     expected = [(i % workers - 1, s) for i, s in enumerate(starts) if i % workers]
-    assert sorted((child, task[4]) for child, task in sent) == sorted(
+    assert sorted((child, task[4]) for child, share in sent
+                  for task in share) == sorted(
         expected if len(starts) > 1 else [])
+    shares = [(j - 1, list(starts[j::workers])) for j in range(1, workers)]
+    assert [(child, [task[4] for task in share]) for child, share in sent] == (
+        shares if len(starts) > 1 else [])
 
 
 def test_single_chunk_commands_spawn_nothing(monkeypatch, capsys):
@@ -657,6 +659,20 @@ def test_reference_cached_rerun_identical(tmp_path, capsys):
     assert rc == 0
     assert first == second
     assert "[fine-grid-mc]" in first
+
+
+def test_cache_file_that_is_not_utf8_is_a_miss(tmp_path, capsys):
+    # it crashed every cached command with a UnicodeDecodeError, exit 1
+    path = tmp_path / reference.CACHE_FILENAME
+    path.write_bytes(b"\xff\xfe garbage\n")
+    argv = ["reference", "--case", "case1", "--n0", "100", "--p-ref", "2"]
+    rc, out, _ = run(argv + ["--cache-dir", str(tmp_path)], capsys)
+    assert (rc, out) == run(argv + ["--no-cache"], capsys)[:2]
+    assert rc == 0
+    lines = path.read_bytes().split(b"\n")
+    assert lines[0] == b"\xff\xfe garbage"
+    assert len(lines) == 3 and len(lines[1].split()) == 3 and lines[2] == b""
+
 
 def test_cache_dir_that_is_a_file_exits_2_before_simulating(tmp_path, capsys,
                                                             monkeypatch):

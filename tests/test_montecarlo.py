@@ -296,8 +296,8 @@ def test_shared_pool_survives_a_failing_ensemble():
 def test_every_worker_count_matches_one_worker(workers, n, monkeypatch):
     # 1, 2, 3, 5 and 20 chunks, two of them ending in a short chunk; this
     # process runs chunks i % workers == 0 and workers - 1 forked or
-    # spawned children the rest, each handed its next chunk as it returns
-    # one
+    # spawned children the rest, each handed its whole share in one
+    # message
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     kinds = [SchemeKind.ExpES, SchemeKind.SES]
     serial = estimate_many(CASE1, kinds, ["x", "x2"], 3, n, 5, workers=1)
@@ -368,7 +368,7 @@ def test_a_child_exception_keeps_its_type():
 
 def test_results_of_a_failed_ensemble_never_reach_the_next(monkeypatch):
     # twenty chunks on two children: the first child result raises and
-    # leaves both children with results unread, which the next ensemble on
+    # leaves the other child's result unread, which the next ensemble on
     # the same pool must not take for its own
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     kinds = (SchemeKind.ExpES, SchemeKind.SES)
@@ -379,6 +379,27 @@ def test_results_of_a_failed_ensemble_never_reach_the_next(monkeypatch):
             estimate_many(REFUSING, kinds, ["x"], 2, n, 7, workers=3)
         assert len(multiprocessing.active_children()) == 2
         assert estimate_many(CASE1, kinds, ["x"], 2, n, 7, workers=3) == serial
+    assert multiprocessing.active_children() == []
+
+
+def test_an_ensemble_failing_in_this_process_leaves_nothing_for_the_next(
+        monkeypatch):
+    # twenty chunks on two children: the test function raises in this
+    # process at chunk 0, after both children have their shares, whose
+    # results nothing reads; the next ensemble, at another seed, on the same
+    # pool must not take them for its own
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    n = 20 * 4096
+    serial = estimate_many(CASE1, SchemeKind.ExpES, ["x"], 2, n, 8, workers=1)
+
+    def refuse(x):
+        raise ValueError("refused here")
+
+    with worker_pool(3):
+        with pytest.raises(ValueError, match="refused here"):
+            estimate_many(CASE1, SchemeKind.ExpES, [refuse], 2, n, 7, workers=3)
+        assert estimate_many(CASE1, SchemeKind.ExpES, ["x"], 2, n, 8,
+                             workers=3) == serial
     assert multiprocessing.active_children() == []
 
 

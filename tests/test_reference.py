@@ -358,6 +358,16 @@ def test_cache_skips_unparsable_record(tmp_path):
     assert fine_grid_reference(CASE1, "x", **kw).value == 123.5
 
 
+def test_cache_skips_a_line_that_is_not_utf8(tmp_path):
+    # a line that does not decode is skipped like one that does not parse
+    kw = dict(n0=64, p_ref=2, seed=9, cache_dir=tmp_path)
+    fine_grid_reference(CASE1, "x", **kw)
+    path = tmp_path / "references.txt"
+    key = path.read_text().split()[0]
+    path.write_bytes(b"\xff\xfe garbage\n" + f"{key} 123.5 0.25\n".encode())
+    assert fine_grid_reference(CASE1, "x", **kw).value == 123.5
+
+
 def test_cache_store_drops_cut_short_tail(tmp_path):
     path = tmp_path / "references.txt"
     path.write_text("0123abc 0.25 0.01\n0123abd 0.3174")
