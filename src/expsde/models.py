@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, InitVar
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -62,12 +62,7 @@ def _check_invariants(model, *nonnegative):
 
 @dataclass(frozen=True)
 class PrototypeModel:
-    """Polynomial-drift model b(x) = b0 + b1*x - b2*x^(2*alpha-1).
-
-    ``validate=False`` skips the invariant checks so degenerate parameter
-    sets (for example alpha = 1) can still be fed to check_hypotheses,
-    which will then report the violated condition instead of raising.
-    """
+    """Polynomial-drift model b(x) = b0 + b1*x - b2*x^(2*alpha-1)."""
 
     b0: float = 0.0
     b1: float = 0.0
@@ -76,11 +71,9 @@ class PrototypeModel:
     alpha: float = 1.5
     x0: float = 1.0
     horizon: float = 1.0
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
-        if validate:
-            _check_invariants(self, "b0", "b1", "b2")
+    def __post_init__(self):
+        _check_invariants(self, "b0", "b1", "b2")
 
     @property
     def b_at_zero(self) -> float:
@@ -158,11 +151,8 @@ class GeneralDriftModel:
     x0: float = 1.0
     horizon: float = 1.0
     growth: Optional[GrowthMetadata] = None
-    validate: InitVar[bool] = True
 
-    def __post_init__(self, validate):
-        if not validate:
-            return
+    def __post_init__(self):
         _check_invariants(self, "b_at_zero")
         try:
             at0 = float(self.drift(0.0))
@@ -293,7 +283,7 @@ def kappa(model: PrototypeModel) -> float:
     5a^2/(2a-1)}.  For b0 > 0 the subtracted budget is the max of a^2/2 and
     the same sigma^2/2 bracket.  Nonnegative slack means the hypothesis
     holds (for b0 > 0 this additionally needs alpha > 3/2, see
-    alpha_gate_ok; the arithmetic here is well defined for any alpha > 1).
+    alpha_gate_ok).
     """
     return _drift_slack(model, _bracket(model.alpha))
 
@@ -329,36 +319,32 @@ def check_hypotheses(model) -> HypothesisReport:
     h1: alpha > 1, sigma > 0, x0 > 0.  h4: derivative growth exponents obey
     gamma_(i) <= i-1 (automatic for the polynomial prototype).  h5: the
     order-one constraint, reported through its slack kappa (h5_ok iff
-    kappa >= 0; kappa is NaN unless alpha > 1, and when the b(0) > 0
-    constraint is inapplicable because alpha <= 3/2, kappa is NaN and a
-    note carries the raw slack).  The slack is kappa(model) for the
-    prototype and the smaller of the drift and derivative slacks for a
-    general drift, which needs all of its growth metadata.
+    kappa >= 0; when the b(0) > 0 constraint is inapplicable because
+    alpha <= 3/2, kappa is NaN and a note carries the raw slack).  The
+    slack is kappa(model) for the prototype and the smaller of the drift and
+    derivative slacks for a general drift, which needs all of its growth
+    metadata.
     """
     if isinstance(model, GeneralDriftModel):
         g = _growth(model, "B1", "B2", "B1p", "B2p", "gamma_up", "gamma_down")
         slack, used = _general_slack, "general"
         h4 = all(g.gamma_down[i] <= float(i) for i in range(4))
-        last = () if h4 else (
+        notes = () if h4 else (
             f"h4 violated: gamma_down = {g.gamma_down} exceeds (0,1,2,3)",)
     else:
         # polynomial drift: every derivative is again polynomial with
         # local-Lipschitz exponent at most its order minus one
         slack, used, h4 = kappa, "b0>0" if model.b0 > 0.0 else "b0=0", True
-        last = ("derived drift-derivative bound uses B2' = (2*alpha-1)*B2 = "
-                f"{(2.0 * model.alpha - 1.0) * model.b2:.6g}",)
-    notes = []
+        notes = ("derived drift-derivative bound uses B2' = (2*alpha-1)*B2 = "
+                 f"{(2.0 * model.alpha - 1.0) * model.b2:.6g}",)
     h1 = (model.alpha > 1.0) and (model.sigma > 0.0) and (model.x0 > 0.0)
-    if not h1:
-        notes.append(f"h1 violated: need alpha > 1, sigma > 0, x0 > 0 (got "
-                     f"alpha={model.alpha}, sigma={model.sigma}, x0={model.x0})")
-    k = slack(model) if model.alpha > 1.0 else math.nan
+    k = slack(model)
     if not alpha_gate_ok(model):
-        notes.append("the constant-drift constraint needs alpha > 3/2; "
-                     f"alpha={model.alpha} so the order-one condition is not "
-                     f"applicable (raw slack {k:.6g})")
+        notes = ("the constant-drift constraint needs alpha > 3/2; "
+                 f"alpha={model.alpha} so the order-one condition is not "
+                 f"applicable (raw slack {k:.6g})",) + notes
         k = math.nan
     return HypothesisReport(
         h1_ok=h1, h4_ok=h4, h5_ok=bool(k >= 0.0), kappa=k,
         kappa_constraint_used=used, max_moment_order=max_moment_order(model),
-        notes=tuple(notes) + last)
+        notes=notes)

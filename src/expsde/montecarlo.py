@@ -1,5 +1,5 @@
-"""Ensemble simulation: weak-error estimation, divergence accounting, and
-empirical moment checks, deterministically parallel.
+"""Ensemble simulation: weak-error estimation and divergence accounting,
+deterministically parallel.
 
 Trajectories are processed in fixed chunks of CHUNK_TRAJECTORIES.  Each
 trajectory draws its normals from its own lane of a keyed lane-group
@@ -21,9 +21,11 @@ chunk, so a command that never needs it starts no process.  This process
 runs every chunk whose index is a multiple of N, the children the others:
 each child gets its whole share of an ensemble in one message over its
 own pipe, and an ensemble that stops early makes the next one start fresh
-children.  On Linux the children are forked, so they start with numpy and
-this package already imported; elsewhere they are spawned and import them
-afresh.  A child that dies is an error, never a wait.
+children.  An ensemble run while another is being read, as by a test
+function of the other, runs in this process.  On Linux the children are
+forked, so they start with numpy and this package already imported;
+elsewhere they are spawned and import them afresh.  A child that dies is
+an error, never a wait.
 
 Diverged trajectories (non-finite state, |state| above the cap, or a
 non-finite test-function value at the terminal, for example 1/x at an
@@ -37,13 +39,11 @@ import math
 import multiprocessing
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .models import max_moment_order
 from .paths import make_stream
 from .schemes import DIVERGENCE_CAP, SchemeKind, alive, step_values
 
@@ -55,7 +55,6 @@ __all__ = [
     "resolve_test_function",
     "estimate_many",
     "weak_error_sweep",
-    "moment_sweep",
     "simulate_paths",
     "worker_pool",
 ]
@@ -251,7 +250,9 @@ class _LazyPool:
     by an exception here or in a child or by a reader that stops reading,
     may leave results in the pipes; the next map then closes the pool and
     starts fresh children, so no map ever reads an earlier map's result.  A
-    child that dies, or whose pipe breaks, closes the pool and raises
+    map opened while another map is still being read, as by a test function
+    that runs an ensemble of its own, runs in this process.  A child that
+    dies, or whose pipe breaks, closes the pool and raises
     RuntimeError; an exception its task raises is raised here as it is.
 
     The children are forked on Linux and spawned elsewhere: macOS's
@@ -268,14 +269,15 @@ class _LazyPool:
         self.workers = min(workers, os.cpu_count() or 1)
         self._children = []  # (process, this process's end of its pipe)
         self._unfinished = False  # a map stopped before its end
+        self._reading = False  # a map is being read
 
     def imap(self, func, arglist):
         """func over arglist, yielded in task order.  Task i runs in this
         process when i % workers == 0 and in child i % workers - 1
         otherwise; each child has its share before this process starts its
-        own."""
+        own.  All run in this process while another map is being read."""
         w = self.workers
-        if w <= 1 or len(arglist) <= 1:
+        if w <= 1 or len(arglist) <= 1 or self._reading:
             return map(func, arglist)
         if self._unfinished:
             self.close()
@@ -291,25 +293,28 @@ class _LazyPool:
 
     def _imap(self, func, arglist):
         w = self.workers
-        self._unfinished = True
-        for j, (process, conn) in enumerate(self._children, 1):
-            try:
-                conn.send((func, arglist[j::w]))
-            except ConnectionError:
-                raise self._lost(process) from None
-        for i, args in enumerate(arglist):
-            if not i % w:
-                yield func(args)
-                continue
-            process, conn = self._children[i % w - 1]
-            try:
-                ok, value = conn.recv()
-            except (EOFError, ConnectionError):
-                raise self._lost(process) from None
-            if not ok:
-                raise value
-            yield value
-        self._unfinished = False
+        self._unfinished = self._reading = True
+        try:
+            for j, (process, conn) in enumerate(self._children, 1):
+                try:
+                    conn.send((func, arglist[j::w]))
+                except ConnectionError:
+                    raise self._lost(process) from None
+            for i, args in enumerate(arglist):
+                if not i % w:
+                    yield func(args)
+                    continue
+                process, conn = self._children[i % w - 1]
+                try:
+                    ok, value = conn.recv()
+                except (EOFError, ConnectionError):
+                    raise self._lost(process) from None
+                if not ok:
+                    raise value
+                yield value
+            self._unfinished = False
+        finally:
+            self._reading = False
 
     def _lost(self, process):
         """Close the pool, and the error that the death of process makes."""
@@ -416,16 +421,25 @@ def _scheme_kinds(kind):
     return kinds
 
 
-def _estimate(model, kinds, fs, p, n, seed, workers):
-    """One Estimate per (scheme, test function), kind-major, each applied in
-    this process to the terminal states of one n-path ensemble that every
-    scheme in kinds steps on the same draws.  A path counts as
-    diverged for f when it diverged or f of its value is not finite.
+def estimate_many(model, kind, fs, p, n, seed, workers: int = 1):
+    """Estimate E[f(X_T)] for several test functions on one shared ensemble.
 
+    kind is one SchemeKind or a nonempty sequence of them.  Every scheme
+    steps the same n paths on the same increments, drawn once: a chunk's
+    stream is made and read once for all of them.  Returns a flat list with
+    one Estimate per (kind, f), kind-major; for one kind, one per entry of
+    fs.  Each Estimate equals, bit for bit, the one a call with that kind
+    alone gives.  Divergence is assessed per scheme and test function (a
+    terminal that is fine for f(x)=x may still produce a non-finite 1/x).
+    Raises ValueError, before simulating anything, when fs or the kind
+    sequence is empty.
+
+    Every test function is applied in this process to the terminal states.
     Chunks run on the enclosing worker_pool's workers, or on ones opened
     for this ensemble alone, all in this process when there is one worker
     or one chunk; they are reduced in chunk-index order.
     """
+    kinds = _scheme_kinds(kind)
     if n < 1:
         raise ValueError(f"need at least one trajectory, got n={n}")
     funcs = [resolve_test_function(f) for f in fs]
@@ -452,22 +466,6 @@ def _estimate(model, kinds, fs, p, n, seed, workers):
                     moments.append((n_c, mean_c, m2_c))
                     per_f[idx] = (sums, moments, n_div + good.size - n_c)
     return [_assemble(*f_acc) for per_f in acc for f_acc in per_f]
-
-
-def estimate_many(model, kind, fs, p, n, seed, workers: int = 1):
-    """Estimate E[f(X_T)] for several test functions on one shared ensemble.
-
-    kind is one SchemeKind or a nonempty sequence of them.  Every scheme
-    steps the same n paths on the same increments, drawn once: a chunk's
-    stream is made and read once for all of them.  Returns a flat list with
-    one Estimate per (kind, f), kind-major; for one kind, one per entry of
-    fs.  Each Estimate equals, bit for bit, the one a call with that kind
-    alone gives.  Divergence is assessed per scheme and test function (a
-    terminal that is fine for f(x)=x may still produce a non-finite 1/x).
-    Raises ValueError, before simulating anything, when fs or the kind
-    sequence is empty.
-    """
-    return _estimate(model, _scheme_kinds(kind), fs, p, n, seed, workers)
 
 
 def weak_error_sweep(model, kind, f, p_list, n, reference, seed,
@@ -515,27 +513,3 @@ def weak_error_sweep(model, kind, f, p_list, n, reference, seed,
         tables = [f_tables[0] for f_tables in tables]
     return tables[0] if one_f else tables
 
-
-def moment_sweep(model, kind, orders, p, n, seed, workers: int = 1):
-    """Empirical E[X_T^order] for each order, on one shared ensemble.
-
-    Warns when an order exceeds the model's largest provably finite moment
-    order (the estimate is still computed; blow-up across p is exactly what
-    the caller may be probing).  A GeneralDriftModel needs its declared
-    growth.B2, which sets that order; without it InsufficientMetadataError
-    is raised.  Raises TypeError, before simulating, unless kind is one
-    SchemeKind."""
-    if not isinstance(kind, SchemeKind):
-        raise TypeError(f"expected one SchemeKind, got {kind!r}; "
-                        "estimate_many takes a sequence of them")
-    bound = max_moment_order(model)
-    for order in orders:
-        if order > bound:
-            warnings.warn(
-                f"moment order {order} exceeds the provable bound "
-                f"{bound:.6g}; estimate may blow up",
-                stacklevel=2,
-            )
-    funcs = [(lambda o: (lambda x: np.power(x, float(o))))(o) for o in orders]
-    ests = estimate_many(model, kind, funcs, p, n, seed, workers=workers)
-    return dict(zip(orders, ests))

@@ -1,8 +1,8 @@
 """Session fixtures for the acceptance suite.
 
 The expensive piece is the fine-grid reference ensemble (10^6 trajectories
-at refinement level 12: 103 s at one worker and 57 s at two on a 2-core
-machine), which runs on every CPU.  Simulated terminals do not depend on
+at refinement level 12: 48 s on both workers of a 2-core machine), which
+runs on every CPU.  Simulated terminals do not depend on
 the test function, so a single estimate_many pass yields the reference
 expectation for all three functions at once;
 each per-function value is identical to what fine_grid_reference would

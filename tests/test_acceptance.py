@@ -4,8 +4,8 @@ Covers convergence order, benchmark error levels, divergence reproduction,
 the positivity invariant, step-formula exactness, deterministic-drift
 sanity, byte-level output determinism, quadrature and gamma behavior, and
 second-moment boundedness.  The session-scoped reference fixture in
-conftest dominates the runtime (about six minutes on one core); everything
-else is seconds.
+conftest dominates the runtime (48 s on a 2-core machine, where it runs on
+both CPUs); everything else is seconds.
 """
 
 import math

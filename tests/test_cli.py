@@ -764,6 +764,19 @@ def test_readme_names_every_flag_and_no_other():
     assert flags <= named
 
 
+def test_public_names_and_readme_imports_resolve():
+    # every exported name exists, and every name a README code block imports
+    # from the package root is exported
+    missing = [name for name in expsde.__all__ if not hasattr(expsde, name)]
+    assert missing == []
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    imports = re.findall(r"^from expsde import (\([^)]*\)|.*)$",
+                         "".join(blocks), re.M)
+    names = {n for group in imports for n in re.findall(r"\w+", group)}
+    assert names, "no README import found"
+    assert names <= set(expsde.__all__), names - set(expsde.__all__)
+
+
 def test_shared_parser_keeps_no_option_between_calls(tmp_path, capsys):
     # main parses with one parser per process; two calls with different
     # repeatable --scheme/--test-fn lists write what two processes write

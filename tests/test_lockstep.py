@@ -181,16 +181,3 @@ def test_empty_inputs_raise_before_simulating(monkeypatch):
     for n in (0, -5):
         with pytest.raises(ValueError, match="at least one trajectory"):
             estimate_many(model, SchemeKind.ExpES, ["x"], 8, n, 0)
-
-
-def test_one_kind_apis_reject_scheme_sequences(monkeypatch):
-    def no_stream(*args):
-        raise AssertionError("simulated before rejecting the kinds")
-
-    monkeypatch.setattr(montecarlo, "make_stream", no_stream)
-    model = CASES["case1"]
-    both = [SchemeKind.ExpES, SchemeKind.TES]
-    with pytest.raises(TypeError, match="SchemeKind"):
-        montecarlo.moment_sweep(model, both, [1, 2], 3, 300, 0)
-    with pytest.raises(TypeError, match="SchemeKind"):
-        montecarlo.moment_sweep(model, "exp-es", [1, 2], 3, 300, 0)

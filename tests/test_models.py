@@ -134,12 +134,6 @@ def test_check_case3_h5_fails():
     assert r.kappa < 0.0
 
 
-def test_check_degenerate_alpha_one():
-    m = PrototypeModel(b2=2.0, sigma=0.1, alpha=1.0, validate=False)
-    r = check_hypotheses(m)
-    assert not r.h1_ok
-
-
 def test_check_case4_positive_b0_branch():
     r = check_hypotheses(make_case(4))
     assert r.kappa_constraint_used == "b0>0"

@@ -3,22 +3,23 @@
 import math
 import multiprocessing
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import expsde
 from expsde.cli import CASES
-from expsde.models import (GeneralDriftModel, GrowthMetadata,
-                           InsufficientMetadataError, PrototypeModel)
+from expsde.models import GeneralDriftModel, PrototypeModel
 from expsde.montecarlo import (
     TEST_FUNCTIONS,
     estimate_many,
-    moment_sweep,
     resolve_test_function,
     simulate_paths,
     weak_error_sweep,
@@ -134,20 +135,6 @@ def test_sweep_rejects_empty_p_list():
                          SimpleNamespace(value=0.0), seed=1)
 
 
-def test_moment_sweep_order_zero():
-    ests = moment_sweep(CASE1, SchemeKind.ExpES, [0, 2], p=3, n=300, seed=6)
-    assert ests[0].mean == 1.0
-    assert ests[0].stderr == 0.0
-    assert ests[2].mean > 0.0
-
-
-def test_moment_sweep_warns_beyond_bound():
-    # case 3: max finite moment order is 1 + 2*1/1 = 3
-    case3 = PrototypeModel(b2=1.0, sigma=1.0, alpha=1.5)
-    with pytest.warns(UserWarning, match="exceeds the provable bound"):
-        moment_sweep(case3, SchemeKind.ExpES, [4], p=3, n=200, seed=2)
-
-
 def test_resolve_test_function():
     assert resolve_test_function("x2") is TEST_FUNCTIONS["x2"]
     f = lambda x: x + 1
@@ -208,25 +195,6 @@ def test_general_drift_model_runs_like_prototype():
                               use_cache=False)
     assert_agree([ref], [fine_grid_reference(CASES["case1"], "x", n0=300, p_ref=6,
                                              seed=2, use_cache=False)], 1 << 6)
-
-
-def test_moment_sweep_needs_only_growth_b2():
-    # the provable moment order reads B2 alone: a general drift declaring no
-    # derivative exponents runs like case1, and warns above the same order
-    # 1 + 2*B2/sigma^2 = 401
-    general = GeneralDriftModel(drift=_case1_drift, b_at_zero=0.0, sigma=0.1,
-                                alpha=1.5, growth=GrowthMetadata(B1=0.0, B2=2.0,
-                                                                 B1p=0.0, B2p=4.0))
-    got = moment_sweep(general, SchemeKind.ExpES, [1, 2], 3, 200, 1)
-    want = moment_sweep(CASES["case1"], SchemeKind.ExpES, [1, 2], 3, 200, 1)
-    assert list(got) == [1, 2]
-    assert_agree(list(got.values()), list(want.values()), 1 << 3)
-    for model in (general, CASES["case1"]):
-        with pytest.warns(UserWarning, match="order 402 exceeds the provable bound 401;"):
-            moment_sweep(model, SchemeKind.ExpES, [402], 3, 200, 1)
-    with pytest.raises(InsufficientMetadataError) as exc:
-        moment_sweep(CASE1_GENERAL, SchemeKind.ExpES, [1], 3, 200, 1)
-    assert exc.value.missing == ["growth.B2"]
 
 
 def test_simulate_paths_yields_every_grid_time():
@@ -401,6 +369,50 @@ def test_an_ensemble_failing_in_this_process_leaves_nothing_for_the_next(
         assert estimate_many(CASE1, SchemeKind.ExpES, ["x"], 2, n, 8,
                              workers=3) == serial
     assert multiprocessing.active_children() == []
+
+
+NESTED_SCRIPT = """\
+import multiprocessing, os
+os.cpu_count = lambda: 2
+from expsde.cli import CASES
+from expsde.montecarlo import estimate_many, worker_pool
+from expsde.schemes import SchemeKind
+
+CASE1, EXP = CASES["case1"], SchemeKind.ExpES
+inner = []
+
+def f(x):
+    inner.append((len(multiprocessing.active_children()),
+                  estimate_many(CASE1, EXP, ["x"], 2, 9000, 2, workers=2)))
+    return x
+
+if __name__ == "__main__":
+    with worker_pool(2):
+        outer = estimate_many(CASE1, EXP, [f], 2, 9000, 1, workers=2)
+        after = estimate_many(CASE1, EXP, ["x"], 2, 9000, 3, workers=2)
+    assert outer == estimate_many(CASE1, EXP, ["x"], 2, 9000, 1)
+    assert after == estimate_many(CASE1, EXP, ["x"], 2, 9000, 3)
+    alone = estimate_many(CASE1, EXP, ["x"], 2, 9000, 2)
+    assert inner == [(1, alone)] * 3, inner
+    assert multiprocessing.active_children() == []
+    print("ok")
+"""
+
+
+def test_an_ensemble_inside_another_runs_here(tmp_path):
+    # a test function that runs a pooled ensemble of its own, on the pool
+    # whose map calls it, runs that ensemble in this process while the
+    # outer's one child keeps its share.  Run apart, so that a hang (the
+    # inner map closing the outer's children) fails instead of waiting.
+    script = tmp_path / "nested.py"
+    script.write_text(NESTED_SCRIPT)
+    src = str(Path(expsde.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def test_close_does_not_wait_on_a_child_stuck_sending():

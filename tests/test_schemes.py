@@ -280,7 +280,7 @@ SQRT_MODELS = [
     CASE1,
     PrototypeModel(b0=0.5, b1=1.0, b2=2.0, sigma=0.5, alpha=1.5),
     GeneralDriftModel(drift=lambda x: 0.5 - 2.0 * x * x, b_at_zero=0.5,
-                      sigma=0.5, alpha=1.5, validate=False),
+                      sigma=0.5, alpha=1.5),
 ]
 
 
